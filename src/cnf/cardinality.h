@@ -16,7 +16,11 @@ namespace step::cnf {
 ///   fT(QB), eq. (6):  0 <= #XA − #XB <= k
 ///   fT(QDB), eq. (8): 0 <= #XC + #XA − #XB <= k
 /// All reduce to AtMost-k over mixed-polarity literal lists; the encoder is
-/// the Sinz sequential counter (O(n·k) clauses, arc-consistent).
+/// the Sinz sequential counter (O(n·k) clauses, arc-consistent). The
+/// incremental QDB path (core/qbf_model.cpp) does not count the 3n
+/// literals of eq. (8): since exactly one of α_i, β_i, t_i holds, the cost
+/// is n − 2·min(#XA, #XB), and it uses two n-literal counters, at most
+/// ⌊(k + n)/2⌋ of ¬α and at most ⌊(k + n)/2⌋ of ¬β.
 
 /// At least one literal true (a single clause).
 void at_least_one(ClauseSink& sink, std::span<const sat::Lit> lits);

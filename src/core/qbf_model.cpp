@@ -59,8 +59,8 @@ QbfPartitionFinder::QbfPartitionFinder(const RelaxationMatrix& m,
   STEP_CHECK(fn_sink.num_vars() == 2 * n);  // fN allocates no aux vars
   fn_clauses_ = fn_sink.clauses();
 
-  // Shared-variable indicators t_i ⇔ (¬α_i ∧ ¬β_i), used by QD and QDB;
-  // the t vars land at [2n, 3n) when replayed right after fN.
+  // Shared-variable indicators t_i ⇔ (¬α_i ∧ ¬β_i), used by QD and by the
+  // scratch QDB path; the t vars land at [2n, 3n) when replayed after fN.
   cnf::VecSink t_sink(static_cast<sat::Var>(2 * n));
   shared_lits_.resize(n);
   for (int i = 0; i < n; ++i) {
@@ -89,6 +89,23 @@ sat::LitVec QbfPartitionFinder::install_side_constraints(
   }
   for (const sat::LitVec& c : shared_clauses_) sink.add_clause(c);
   return shared_lits_;
+}
+
+void QbfPartitionFinder::add_lex_leader(cnf::ClauseSink& sink) const {
+  // Every β_i needs some α_j with j < i. `seen` ⇔ α_0 ∨ … ∨ α_{i−1} is a
+  // chain of prefix ORs, fully defined so that α and β propagate both ways.
+  const int n = m_.n;  // >= 1: fN's at_least_one checks it
+  sink.add_unit(~beta_[0]);
+  sat::Lit seen = alpha_[0];
+  for (int i = 1; i < n; ++i) {
+    sink.add_binary(~beta_[i], seen);
+    if (i + 1 == n) break;
+    const sat::Lit next = sat::mk_lit(sink.new_var());
+    sink.add_binary(~seen, next);
+    sink.add_binary(~alpha_[i], next);
+    sink.add_ternary(~next, seen, alpha_[i]);
+    seen = next;
+  }
 }
 
 Partition QbfPartitionFinder::decode_partition(
@@ -144,44 +161,45 @@ QbfPartitionFinder::IncState& QbfPartitionFinder::state_for(QbfModel model) {
 
   const bool sym = opts_.symmetry_breaking;
   const sat::LitVec t =
-      install_side_constraints(*st.solver, model != QbfModel::kQB);
+      install_side_constraints(*st.solver, model == QbfModel::kQD);
   cnf::SolverSink sink(st.solver->abstraction());
 
   // fT is *not* encoded per bound. Each inequality of the target becomes
   // one counter over its mixed-polarity literal list; a concrete bound k
   // is later enforced by assuming the counter's output suffix above
-  // k + offset (offset = the |neg| shift of the difference form). The
-  // bound-independent |XA| >= |XB| symmetry break goes in as hard clauses,
-  // in the same position of the scratch path's clause order.
-  auto add_bound = [&](const sat::LitVec& pos, const sat::LitVec& neg) {
+  // ⌊(k + offset) / scale⌋ (offset = the |neg| shift of the difference
+  // form). The bound-independent symmetry break goes in as hard clauses,
+  // in the same position of the scratch path's clause order for QD and QB.
+  auto add_bound = [&](const sat::LitVec& pos, const sat::LitVec& neg,
+                       int scale) {
     sat::LitVec lits(pos);
     for (const sat::Lit l : neg) lits.push_back(~l);
     st.bounds.push_back(
         {std::make_unique<cnf::IncrementalCounter>(sink, lits),
-         static_cast<int>(neg.size())});
+         static_cast<int>(neg.size()), scale});
   };
   switch (model) {
     case QbfModel::kQD:
-      add_bound(t, {});
+      add_bound(t, {}, 1);
       if (sym) cnf::diff_non_negative(sink, alpha_, beta_);
       break;
     case QbfModel::kQB:
       if (sym) cnf::diff_non_negative(sink, alpha_, beta_);
-      add_bound(alpha_, beta_);
-      if (!sym) add_bound(beta_, alpha_);
+      add_bound(alpha_, beta_, 1);
+      if (!sym) add_bound(beta_, alpha_, 1);
       break;
-    case QbfModel::kQDB: {
-      if (sym) cnf::diff_non_negative(sink, alpha_, beta_);
-      sat::LitVec pos_a(t);
-      pos_a.insert(pos_a.end(), alpha_.begin(), alpha_.end());
-      add_bound(pos_a, beta_);
-      if (!sym) {
-        sat::LitVec pos_b(t);
-        pos_b.insert(pos_b.end(), beta_.begin(), beta_.end());
-        add_bound(pos_b, alpha_);
-      }
+    case QbfModel::kQDB:
+      // fN makes exactly one of α_i, β_i, t_i true per variable, so
+      // #XC + |#XA − #XB| = n − 2·min(#XA, #XB): cost <= k holds iff
+      // #XA and #XB are both >= ⌈(n − k)/2⌉, i.e. iff at most ⌊(k + n)/2⌋
+      // of ¬β and at most ⌊(k + n)/2⌋ of ¬α are true — two n-literal
+      // counters at scale 2. The cost is swap-invariant, so any break of
+      // the XA/XB symmetry keeps the optimum; the lex-leader chain is the
+      // cheapest one.
+      if (sym) add_lex_leader(sink);
+      add_bound({}, beta_, 2);
+      add_bound({}, alpha_, 2);
       break;
-    }
   }
 
   // Carry everything already learned about this matrix into the new pair.
@@ -200,7 +218,7 @@ QbfFindResult QbfPartitionFinder::find_incremental(QbfModel model, int k,
 
   sat::LitVec assumps;
   for (const BoundCounter& bt : st.bounds) {
-    bt.counter->assume_at_most(k + bt.offset, assumps);
+    bt.counter->assume_at_most(bt.at_most(k), assumps);
   }
   // Candidate steering, re-applied per query because phase saving and
   // VSIDS decay drift the persistent solver away from the fresh-solver
@@ -237,18 +255,18 @@ QbfFindResult QbfPartitionFinder::find_incremental(QbfModel model, int k,
     // The final conflict's assumption core certifies how much of the bound
     // was actually needed. A core whose smallest counter output is o_m
     // proves the tracked sum is forced to at least m in *every* candidate,
-    // refuting every bound below m − offset; an assumption-free core means
-    // fN plus the refinements alone are inconsistent — no bound helps.
+    // refuting every bound below scale·m − offset; an assumption-free core
+    // means fN plus the refinements alone are inconsistent — no bound helps.
     const sat::LitVec& core = solver.abstraction_core();
     auto in_core = [&](sat::Lit l) {
       return std::find(core.begin(), core.end(), l) != core.end();
     };
     int refuted = m_.n;  // no core hit: refuted at every feasible bound
     for (const BoundCounter& bt : st.bounds) {
-      const int first = std::max(k + bt.offset + 1, 1);
+      const int first = std::max(bt.at_most(k) + 1, 1);
       for (int j = first; j <= bt.counter->size(); ++j) {
         if (in_core(~bt.counter->output(j))) {
-          refuted = std::min(refuted, j - bt.offset);
+          refuted = std::min(refuted, bt.scale * j - bt.offset);
           break;
         }
       }

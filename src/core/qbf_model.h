@@ -103,10 +103,13 @@ class SharedCountermodelPool {
 /// does not depend on fT), seeding new solver instances with all prior
 /// learning.
 struct QbfFinderOptions {
-  /// Break the XA/XB symmetry with |XA| >= |XB| (Section IV.A.2: "reduces
-  /// substantially the search space"). When off, the QB and QDB targets
-  /// bound the *absolute* size difference instead, which is equivalent on
-  /// partitions but doubles the witness space.
+  /// Break the XA/XB symmetry (Section IV.A.2: "reduces substantially the
+  /// search space"). QD and QB, and the scratch QDB path, impose
+  /// |XA| >= |XB|; the incremental QDB path, whose cost is swap-invariant,
+  /// uses an O(n) lex-leader chain instead (the first variable outside XC
+  /// is in XA). When off, the QB and QDB targets bound the *absolute* size
+  /// difference instead, which is equivalent on partitions but doubles the
+  /// witness space.
   bool symmetry_breaking = true;
   /// Carry CEGAR countermodels across bound queries (and, via the pool,
   /// across solver instances / models).
@@ -154,10 +157,18 @@ class QbfPartitionFinder {
 
  private:
   /// A counter enforcing one fT inequality: the bound-k assumption set
-  /// is "at most k + offset of the tracked literals are true".
+  /// is "at most ⌊(k + offset) / scale⌋ of the tracked literals are true",
+  /// and a core naming output o_j refutes every bound below
+  /// scale·j − offset.
   struct BoundCounter {
     std::unique_ptr<cnf::IncrementalCounter> counter;
     int offset = 0;
+    int scale = 1;
+
+    int at_most(int k) const {
+      const int v = k + offset;  // floor division, v may be negative
+      return v >= 0 ? v / scale : -((scale - 1 - v) / scale);
+    }
   };
   /// Persistent incremental solver state for one QBF model.
   struct IncState {
@@ -176,6 +187,10 @@ class QbfPartitionFinder {
   /// abstraction; returns the t literals (empty unless `want_shared`).
   sat::LitVec install_side_constraints(qbf::ExistsForallSolver& solver,
                                        bool want_shared) const;
+
+  /// Lex-leader break of the XA/XB swap symmetry (QDB only): the first
+  /// variable outside XC is in XA. O(n) aux vars and clauses.
+  void add_lex_leader(cnf::ClauseSink& sink) const;
 
   Partition decode_partition(const std::vector<sat::Lbool>& outer_model) const;
   void absorb_countermodel(const std::vector<sat::Lbool>& cm);

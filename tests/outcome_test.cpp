@@ -385,7 +385,7 @@ TEST(OutcomeLadder, MemTrippedConeDegradesToVerifiedConclusion) {
   // --degrade the cheaper-engine rung (STEP-MG under a fresh account)
   // concludes well inside the cap — and rung results run with extraction
   // and SAT verification forced on, so a degraded answer is still proven.
-  const aig::Aig circ = benchgen::parity_tree(16);
+  const aig::Aig circ = benchgen::parity_tree(24);
   core::DecomposeOptions opts =
       base_opts(core::Engine::kQbfCombined, core::GateOp::kXor);
   opts.bootstrap_with_mg = false;
@@ -394,7 +394,7 @@ TEST(OutcomeLadder, MemTrippedConeDegradesToVerifiedConclusion) {
   ResourceGovernor plain_gov(cap);
   core::ParallelDriverOptions plain;
   plain.governor = &plain_gov;
-  const auto without = core::run_circuit(circ, "par16", opts, 600.0, plain);
+  const auto without = core::run_circuit(circ, "par24", opts, 600.0, plain);
   ASSERT_EQ(without.pos.size(), 1u);
   EXPECT_EQ(without.pos[0].status, core::DecomposeStatus::kUnknown);
   EXPECT_EQ(without.pos[0].reason, core::OutcomeReason::kMemLimit);
@@ -404,7 +404,7 @@ TEST(OutcomeLadder, MemTrippedConeDegradesToVerifiedConclusion) {
   core::ParallelDriverOptions ladder = plain;
   ladder.governor = &ladder_gov;
   ladder.degrade = true;
-  const auto with = core::run_circuit(circ, "par16", opts, 600.0, ladder);
+  const auto with = core::run_circuit(circ, "par24", opts, 600.0, ladder);
   ASSERT_EQ(with.pos.size(), 1u);
   EXPECT_EQ(with.pos[0].status, core::DecomposeStatus::kDecomposed);
   EXPECT_EQ(with.pos[0].reason, core::OutcomeReason::kOk);
@@ -420,7 +420,7 @@ TEST(OutcomeLadder, MemTrippedConeDegradesUnderUnlimitedPoBudget) {
   // po_budget_s == 0 ("no per-PO deadline") used to hand ladder rungs a
   // 0 * frac == 0 budget — unlimited, not a slice. The fixed rung budget
   // is a finite kDefaultRungBudget_s-scaled slice and still concludes.
-  const aig::Aig circ = benchgen::parity_tree(16);
+  const aig::Aig circ = benchgen::parity_tree(24);
   core::DecomposeOptions opts =
       base_opts(core::Engine::kQbfCombined, core::GateOp::kXor);
   opts.bootstrap_with_mg = false;
@@ -429,7 +429,7 @@ TEST(OutcomeLadder, MemTrippedConeDegradesUnderUnlimitedPoBudget) {
   core::ParallelDriverOptions par;
   par.governor = &gov;
   par.degrade = true;
-  const auto r = core::run_circuit(circ, "par16", opts, 600.0, par);
+  const auto r = core::run_circuit(circ, "par24", opts, 600.0, par);
   ASSERT_EQ(r.pos.size(), 1u);
   EXPECT_EQ(r.pos[0].status, core::DecomposeStatus::kDecomposed);
   EXPECT_EQ(r.pos[0].reason, core::OutcomeReason::kOk);
