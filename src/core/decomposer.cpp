@@ -4,115 +4,6 @@
 
 namespace step::core {
 
-SearchStrand run_search_strand(const RelaxationMatrix& matrix, Engine engine,
-                               const DecomposeOptions& opts,
-                               const Deadline* deadline) {
-  SearchStrand res;
-  RelaxationSolver rs(matrix, opts.sat);
-
-  switch (engine) {
-    case Engine::kLjh: {
-      LjhDecomposer ljh(matrix, opts.ljh, opts.sat);
-      const PartitionSearchResult r = ljh.find_partition(deadline);
-      res.solver_stats += ljh.solver_stats();
-      if (r.found) {
-        res.status = DecomposeStatus::kDecomposed;
-        res.partition = r.partition;
-      } else {
-        res.status = r.exhausted ? DecomposeStatus::kNotDecomposable
-                                 : DecomposeStatus::kUnknown;
-        res.reason = r.reason;
-      }
-      break;
-    }
-    case Engine::kMg: {
-      MgDecomposer mg(rs, opts.mg);
-      const PartitionSearchResult r = mg.find_partition(deadline);
-      if (r.found) {
-        res.status = DecomposeStatus::kDecomposed;
-        res.partition = r.partition;
-      } else {
-        res.status = r.exhausted ? DecomposeStatus::kNotDecomposable
-                                 : DecomposeStatus::kUnknown;
-        res.reason = r.reason;
-      }
-      break;
-    }
-    case Engine::kQbfDisjoint:
-    case Engine::kQbfBalanced:
-    case Engine::kQbfCombined: {
-      const QbfModel model = engine == Engine::kQbfDisjoint
-                                 ? QbfModel::kQD
-                                 : engine == Engine::kQbfBalanced
-                                       ? QbfModel::kQB
-                                       : QbfModel::kQDB;
-      std::optional<Partition> bootstrap;
-      if (opts.bootstrap_with_mg) {
-        MgDecomposer mg(rs, opts.mg);
-        const PartitionSearchResult r = mg.find_partition(deadline);
-        if (r.found) {
-          bootstrap = r.partition;
-        } else if (r.exhausted) {
-          // MG's seed sweep is exact on decomposability: nothing to do.
-          res.status = DecomposeStatus::kNotDecomposable;
-          break;
-        }
-      }
-      QbfFinderOptions qbf_opts = opts.qbf;
-      qbf_opts.cegar.sat = opts.sat;
-      QbfPartitionFinder finder(matrix, qbf_opts);
-      OptimumSearch search(finder, model, opts.optimum);
-      const OptimumResult r = search.run(bootstrap, deadline);
-      res.qbf_calls = r.qbf_calls;
-      res.qbf_iterations = finder.total_iterations();
-      res.qbf_abstraction_conflicts = finder.abstraction_conflicts();
-      res.qbf_verification_conflicts = finder.verification_conflicts();
-      res.solver_stats += finder.solver_stats();
-      res.pool_published = finder.shared_published();
-      res.pool_imported = finder.shared_imported();
-      switch (r.outcome) {
-        case OptimumResult::Outcome::kFound:
-          res.status = DecomposeStatus::kDecomposed;
-          res.partition = r.best;
-          res.proven_optimal = r.proven_optimal;
-          break;
-        case OptimumResult::Outcome::kNotDecomposable:
-          res.status = DecomposeStatus::kNotDecomposable;
-          break;
-        case OptimumResult::Outcome::kUnknown:
-          res.status = DecomposeStatus::kUnknown;
-          res.reason = r.reason;
-          break;
-      }
-      break;
-    }
-  }
-
-  res.sat_calls = rs.sat_calls();
-  res.solver_stats += rs.solver().stats();
-
-  // Classification safety net + refinement. Any kUnknown leaves with a
-  // typed reason: engines that could not name one get the deadline's
-  // verdict (tripped cause, else a configured search/solver budget). A
-  // per-call engine deadline is refined to kConflictBudget when the
-  // solver stats show only conflict-cap stops — the wall never actually
-  // cut a solve short.
-  if (res.status == DecomposeStatus::kUnknown) {
-    if (res.reason == OutcomeReason::kOk) {
-      res.reason = reason_of_unknown(deadline);
-    }
-    if (res.reason == OutcomeReason::kEngineDeadline &&
-        (deadline == nullptr || deadline->trip() == Deadline::Trip::kNone) &&
-        res.solver_stats.conflict_budget_stops > 0 &&
-        res.solver_stats.deadline_stops == 0) {
-      res.reason = OutcomeReason::kConflictBudget;
-    }
-  } else {
-    res.reason = OutcomeReason::kOk;
-  }
-  return res;
-}
-
 DecomposeResult BiDecomposer::decompose(const Cone& cone_in,
                                         const CareSet* care) const {
   Timer timer;
@@ -157,11 +48,108 @@ DecomposeResult BiDecomposer::decompose(const Cone& cone_in,
 
   const RelaxationMatrix matrix = build_relaxation_matrix(cone, opts_.op, care);
 
-  auto finish_with_partition = [&](Partition p, bool proven) {
-    res.status = DecomposeStatus::kDecomposed;
-    res.metrics = Metrics::of(p);
-    res.proven_optimal = proven;
-    res.partition = std::move(p);
+  // Partition search: one engine, no extraction or verification yet.
+  RelaxationSolver rs(matrix, opts_.sat);
+  switch (opts_.engine) {
+    case Engine::kLjh: {
+      LjhDecomposer ljh(matrix, opts_.ljh, opts_.sat);
+      const PartitionSearchResult r = ljh.find_partition(&deadline);
+      res.solver_stats += ljh.solver_stats();
+      if (r.found) {
+        res.status = DecomposeStatus::kDecomposed;
+        res.partition = r.partition;
+      } else {
+        res.status = r.exhausted ? DecomposeStatus::kNotDecomposable
+                                 : DecomposeStatus::kUnknown;
+        res.reason = r.reason;
+      }
+      break;
+    }
+    case Engine::kMg: {
+      MgDecomposer mg(rs, opts_.mg);
+      const PartitionSearchResult r = mg.find_partition(&deadline);
+      if (r.found) {
+        res.status = DecomposeStatus::kDecomposed;
+        res.partition = r.partition;
+      } else {
+        res.status = r.exhausted ? DecomposeStatus::kNotDecomposable
+                                 : DecomposeStatus::kUnknown;
+        res.reason = r.reason;
+      }
+      break;
+    }
+    case Engine::kQbfDisjoint:
+    case Engine::kQbfBalanced:
+    case Engine::kQbfCombined: {
+      const QbfModel model = opts_.engine == Engine::kQbfDisjoint
+                                 ? QbfModel::kQD
+                                 : opts_.engine == Engine::kQbfBalanced
+                                       ? QbfModel::kQB
+                                       : QbfModel::kQDB;
+      std::optional<Partition> bootstrap;
+      if (opts_.bootstrap_with_mg) {
+        MgDecomposer mg(rs, opts_.mg);
+        const PartitionSearchResult r = mg.find_partition(&deadline);
+        if (r.found) {
+          bootstrap = r.partition;
+        } else if (r.exhausted) {
+          // MG's seed sweep is exact on decomposability: nothing to do.
+          res.status = DecomposeStatus::kNotDecomposable;
+          break;
+        }
+      }
+      QbfFinderOptions qbf_opts = opts_.qbf;
+      qbf_opts.cegar.sat = opts_.sat;
+      QbfPartitionFinder finder(matrix, qbf_opts);
+      OptimumSearch search(finder, model, opts_.optimum);
+      const OptimumResult r = search.run(bootstrap, &deadline);
+      res.qbf_calls = r.qbf_calls;
+      res.qbf_iterations = finder.total_iterations();
+      res.qbf_abstraction_conflicts = finder.abstraction_conflicts();
+      res.qbf_verification_conflicts = finder.verification_conflicts();
+      res.solver_stats += finder.solver_stats();
+      switch (r.outcome) {
+        case OptimumResult::Outcome::kFound:
+          res.status = DecomposeStatus::kDecomposed;
+          res.partition = r.best;
+          res.proven_optimal = r.proven_optimal;
+          break;
+        case OptimumResult::Outcome::kNotDecomposable:
+          res.status = DecomposeStatus::kNotDecomposable;
+          break;
+        case OptimumResult::Outcome::kUnknown:
+          res.status = DecomposeStatus::kUnknown;
+          res.reason = r.reason;
+          break;
+      }
+      break;
+    }
+  }
+
+  res.sat_calls = rs.sat_calls();
+  res.solver_stats += rs.solver().stats();
+
+  // Classification safety net + refinement. Any kUnknown leaves with a
+  // typed reason: engines that could not name one get the deadline's
+  // verdict (tripped cause, else a configured search/solver budget). A
+  // per-call engine deadline is refined to kConflictBudget when the
+  // solver stats show only conflict-cap stops — the wall never actually
+  // cut a solve short.
+  if (res.status == DecomposeStatus::kUnknown) {
+    if (res.reason == OutcomeReason::kOk) {
+      res.reason = reason_of_unknown(&deadline);
+    }
+    if (res.reason == OutcomeReason::kEngineDeadline &&
+        deadline.trip() == Deadline::Trip::kNone &&
+        res.solver_stats.conflict_budget_stops > 0 &&
+        res.solver_stats.deadline_stops == 0) {
+      res.reason = OutcomeReason::kConflictBudget;
+    }
+  } else {
+    res.reason = OutcomeReason::kOk;
+  }
+  if (res.status == DecomposeStatus::kDecomposed) {
+    res.metrics = Metrics::of(res.partition);
     if (opts_.extract) {
       res.functions = extract_functions(cone, opts_.op, res.partition, care);
       if (opts_.verify) {
@@ -185,23 +173,6 @@ DecomposeResult BiDecomposer::decompose(const Cone& cone_in,
         }
       }
     }
-  };
-
-  // The search strand does everything up to (but excluding) extraction
-  // and verification; it also classifies its own kUnknown reasons.
-  const SearchStrand s = run_search_strand(matrix, opts_.engine, opts_,
-                                           &deadline);
-  res.sat_calls = s.sat_calls;
-  res.qbf_calls = s.qbf_calls;
-  res.qbf_iterations = s.qbf_iterations;
-  res.qbf_abstraction_conflicts = s.qbf_abstraction_conflicts;
-  res.qbf_verification_conflicts = s.qbf_verification_conflicts;
-  res.solver_stats += s.solver_stats;
-  if (s.status == DecomposeStatus::kDecomposed) {
-    finish_with_partition(s.partition, s.proven_optimal);
-  } else {
-    res.status = s.status;
-    res.reason = s.reason;
   }
 
   res.cpu_s = timer.elapsed_s();

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "common/check.h"
+
 namespace step::core {
 
 std::vector<SearchStage> default_schedule(QbfModel model) {
@@ -71,6 +73,7 @@ OptimumResult OptimumSearch::run(const std::optional<Partition>& bootstrap,
               : OutcomeReason::kEngineDeadline;
       return res;
     }
+    STEP_CHECK(metric_cost(Metrics::of(probe.partition), kind) <= k_max);
     record_best(probe.partition);
   }
 
@@ -96,6 +99,9 @@ OptimumResult OptimumSearch::run(const std::optional<Partition>& bootstrap,
       const QbfFindResult r = query(k);
       switch (r.status) {
         case qbf::Qbf2Status::kTrue:
+          // A witness over the bound would leave hi unchanged and the MI
+          // stage re-querying k forever: a broken encoding aborts instead.
+          STEP_CHECK(metric_cost(Metrics::of(r.partition), kind) <= k);
           record_best(r.partition);
           hi = std::min(hi, res.best_cost - 1);
           break;

@@ -184,9 +184,10 @@ class Solver {
   /// simplification, so an interrupted call never eliminates a variable a
   /// later call may assume; and inprocessing runs only at solve entry
   /// (never polling the deadline mid-rewrite), with every phase restoring
-  /// watch/trail consistency before it returns. This is what lets a
-  /// portfolio racer cancel mid-solve without poisoning persistent
-  /// incremental state (see tests/solver_fuzz_test.cpp, cancel fuzz).
+  /// watch/trail consistency before it returns. This is what lets SIGINT
+  /// or the run deadline cancel a cone mid-solve without poisoning
+  /// persistent incremental state (see tests/solver_fuzz_test.cpp, cancel
+  /// fuzz).
   Result solve_limited(std::span<const Lit> assumptions,
                        std::int64_t conflict_budget = -1,
                        const Deadline* deadline = nullptr);

@@ -382,13 +382,14 @@ TEST(SolverFuzz, ConflictBudgetsAndInjectedFaultsOnlyLoseAnswers) {
 }
 
 TEST(SolverFuzz, CancelThenResolveLeavesSolverReusable) {
-  // The portfolio's cancel contract (see solve_limited's doc in solver.h):
-  // a solve_limited interrupted at *any* poll point — entry, mid-search,
-  // around restarts and inprocessing — must leave the incremental solver
-  // fully reusable, answering the next solve on the same instance exactly
-  // like a never-interrupted solver. Interruptions are forced
-  // deterministically through the deadline's poll-count seam at varying
-  // depths; the uninterrupted re-solve is checked against the oracle.
+  // The cancel contract behind SIGINT and the run deadline (see
+  // solve_limited's doc in solver.h): a solve_limited interrupted at *any*
+  // poll point — entry, mid-search, around restarts and inprocessing — must
+  // leave the incremental solver fully reusable, answering the next solve
+  // on the same instance exactly like a never-interrupted solver.
+  // Interruptions are forced deterministically through the deadline's
+  // poll-count seam at varying depths; the uninterrupted re-solve is
+  // checked against the oracle.
   Rng rng(0xcace1);
   std::uint64_t cancelled = 0, resolved_sat = 0, resolved_unsat = 0;
   for (int round = 0; round < 60; ++round) {
