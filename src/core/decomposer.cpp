@@ -48,8 +48,18 @@ DecomposeResult BiDecomposer::decompose(const Cone& cone_in,
 
   const RelaxationMatrix matrix = build_relaxation_matrix(cone, opts_.op, care);
 
-  // Partition search: one engine, no extraction or verification yet.
-  RelaxationSolver rs(matrix, opts_.sat);
+  // Partition search: one engine, no extraction or verification yet. The
+  // MG searches share one incremental RelaxationSolver over the matrix;
+  // it is built only where MG runs (LJH keeps its own solver, and a QBF
+  // search without the MG bootstrap needs none).
+  auto run_mg = [&]() {
+    RelaxationSolver rs(matrix, opts_.sat);
+    MgDecomposer mg(rs, opts_.mg);
+    const PartitionSearchResult r = mg.find_partition(&deadline);
+    res.sat_calls = rs.sat_calls();
+    res.solver_stats += rs.solver().stats();
+    return r;
+  };
   switch (opts_.engine) {
     case Engine::kLjh: {
       LjhDecomposer ljh(matrix, opts_.ljh, opts_.sat);
@@ -66,8 +76,7 @@ DecomposeResult BiDecomposer::decompose(const Cone& cone_in,
       break;
     }
     case Engine::kMg: {
-      MgDecomposer mg(rs, opts_.mg);
-      const PartitionSearchResult r = mg.find_partition(&deadline);
+      const PartitionSearchResult r = run_mg();
       if (r.found) {
         res.status = DecomposeStatus::kDecomposed;
         res.partition = r.partition;
@@ -88,8 +97,7 @@ DecomposeResult BiDecomposer::decompose(const Cone& cone_in,
                                        : QbfModel::kQDB;
       std::optional<Partition> bootstrap;
       if (opts_.bootstrap_with_mg) {
-        MgDecomposer mg(rs, opts_.mg);
-        const PartitionSearchResult r = mg.find_partition(&deadline);
+        const PartitionSearchResult r = run_mg();
         if (r.found) {
           bootstrap = r.partition;
         } else if (r.exhausted) {
@@ -125,9 +133,6 @@ DecomposeResult BiDecomposer::decompose(const Cone& cone_in,
       break;
     }
   }
-
-  res.sat_calls = rs.sat_calls();
-  res.solver_stats += rs.solver().stats();
 
   // Classification safety net + refinement. Any kUnknown leaves with a
   // typed reason: engines that could not name one get the deadline's

@@ -6,20 +6,31 @@
 
 namespace step::core {
 
+CegarPrefix cegar_prefix(const RelaxationMatrix& m) {
+  const int n = m.n;
+  CegarPrefix p;
+  p.outer = m.alpha;
+  p.outer.insert(p.outer.end(), m.beta.begin(), m.beta.end());
+  p.inner = m.x;
+  p.inner.insert(p.inner.end(), m.xp.begin(), m.xp.end());
+  p.inner.insert(p.inner.end(), m.xpp.begin(), m.xpp.end());
+  p.inner.insert(p.inner.end(), m.xppp.begin(), m.xppp.end());
+  // Inner positions: X at [0, n), X' at [n, 2n), X'' at [2n, 3n), X''' at
+  // [3n, 4n). X' is generalized before X''', so x'''_i copies the already
+  // generalized x'_i.
+  p.inner_copy_of.assign(p.inner.size(), -1);
+  for (int i = 0; i < n; ++i) {
+    p.inner_copy_of[n + i] = i;
+    p.inner_copy_of[2 * n + i] = i;
+    if (!m.xppp.empty()) p.inner_copy_of[3 * n + i] = n + i;
+  }
+  return p;
+}
+
 QbfPartitionFinder::QbfPartitionFinder(const RelaxationMatrix& m,
                                        QbfFinderOptions opts)
-    : m_(m), opts_(opts) {
+    : m_(m), opts_(opts), prefix_(cegar_prefix(m)) {
   const int n = m_.n;
-
-  // Quantifier structure of the negated formulation (9), shared by every
-  // query on this matrix:
-  // outer (∃) = alpha ++ beta;  inner (∀) = all cone-copy inputs.
-  outer_ = m_.alpha;
-  outer_.insert(outer_.end(), m_.beta.begin(), m_.beta.end());
-  inner_ = m_.x;
-  inner_.insert(inner_.end(), m_.xp.begin(), m_.xp.end());
-  inner_.insert(inner_.end(), m_.xpp.begin(), m_.xpp.end());
-  inner_.insert(inner_.end(), m_.xppp.begin(), m_.xppp.end());
 
   // The abstraction allocates one variable per outer input, in order, into
   // a fresh solver: α occupies [0, n) and β occupies [n, 2n) in every
@@ -51,6 +62,13 @@ QbfPartitionFinder::QbfPartitionFinder(const RelaxationMatrix& m,
     t_sink.add_binary(~t, ~beta_[i]);
   }
   shared_clauses_ = t_sink.clauses();
+}
+
+std::unique_ptr<qbf::ExistsForallSolver> QbfPartitionFinder::make_solver()
+    const {
+  return std::make_unique<qbf::ExistsForallSolver>(
+      m_.aig, aig::lnot(m_.phi), prefix_.outer, prefix_.inner, opts_.cegar,
+      prefix_.inner_copy_of);
 }
 
 sat::LitVec QbfPartitionFinder::install_side_constraints(
@@ -114,8 +132,7 @@ QbfPartitionFinder::IncState& QbfPartitionFinder::state_for(QbfModel model) {
 
   slot = std::make_unique<IncState>();
   IncState& st = *slot;
-  st.solver = std::make_unique<qbf::ExistsForallSolver>(
-      m_.aig, aig::lnot(m_.phi), outer_, inner_, opts_.cegar);
+  st.solver = make_solver();
 
   const bool sym = opts_.symmetry_breaking;
   const sat::LitVec t =
@@ -236,8 +253,8 @@ QbfFindResult QbfPartitionFinder::find_incremental(QbfModel model, int k,
 
 QbfFindResult QbfPartitionFinder::find_scratch(QbfModel model, int k,
                                                const Deadline* deadline) {
-  qbf::ExistsForallSolver solver(m_.aig, aig::lnot(m_.phi), outer_, inner_,
-                                 opts_.cegar);
+  const std::unique_ptr<qbf::ExistsForallSolver> owned = make_solver();
+  qbf::ExistsForallSolver& solver = *owned;
   const bool sym = opts_.symmetry_breaking;
   const sat::LitVec t =
       install_side_constraints(solver, model != QbfModel::kQB);

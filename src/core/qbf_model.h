@@ -55,6 +55,20 @@ struct QbfFindResult {
   int refuted_below = 0;
 };
 
+/// Quantifier prefix of the negated formulation (9) over a relaxation
+/// matrix, as QbfPartitionFinder hands it to the CEGAR solver:
+/// outer (∃) = α ++ β, inner (∀) = X ++ X' ++ X'' (++ X''' for XOR).
+/// `inner_copy_of` gives, per inner position, the inner position the
+/// matrix makes it copy unless a partition variable relaxes it: x'_i and
+/// x''_i copy x_i, x'''_i copies x'_i (it is tied to both x'_i and x''_i;
+/// either choice is sound), and X copies nothing (-1). The CEGAR solver
+/// uses it to generalize countermodels.
+struct CegarPrefix {
+  std::vector<std::uint32_t> outer, inner;
+  std::vector<int> inner_copy_of;
+};
+CegarPrefix cegar_prefix(const RelaxationMatrix& m);
+
 /// Decides, via the 2QBF formulation (9), whether a non-trivial valid
 /// partition with fT-cost <= k exists — and produces it if so.
 ///
@@ -159,11 +173,14 @@ class QbfPartitionFinder {
   const RelaxationMatrix& m_;  ///< not owned; must outlive the finder
   QbfFinderOptions opts_;
 
+  /// Builds a CEGAR solver pair over the matrix with the finder's prefix.
+  std::unique_ptr<qbf::ExistsForallSolver> make_solver() const;
+
   // Hoisted per-matrix construction (identical for every call): quantifier
-  // prefix vectors, the α/β literal layout of the abstraction (outer vars
-  // occupy [0, 2n) in construction order), and the clause templates for fN
-  // and the shared-variable indicators t_i ⇔ (¬α_i ∧ ¬β_i).
-  std::vector<std::uint32_t> outer_, inner_;
+  // prefix and copy map, the α/β literal layout of the abstraction (outer
+  // vars occupy [0, 2n) in construction order), and the clause templates
+  // for fN and the shared-variable indicators t_i ⇔ (¬α_i ∧ ¬β_i).
+  CegarPrefix prefix_;
   sat::LitVec alpha_, beta_;
   std::vector<sat::LitVec> fn_clauses_;
   std::vector<sat::LitVec> shared_clauses_;

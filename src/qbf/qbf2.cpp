@@ -42,14 +42,16 @@ bool collect_or_of_inputs(const aig::Aig& a, aig::Lit root,
 ExistsForallSolver::ExistsForallSolver(const aig::Aig& matrix, aig::Lit root,
                                        std::vector<std::uint32_t> outer_inputs,
                                        std::vector<std::uint32_t> inner_inputs,
-                                       CegarOptions opts)
+                                       CegarOptions opts,
+                                       std::vector<int> inner_copy_of)
     : matrix_(matrix),
       root_(root),
       outer_inputs_(std::move(outer_inputs)),
       inner_inputs_(std::move(inner_inputs)),
       opts_(opts),
       abstraction_(opts.sat),
-      verification_(opts.sat) {
+      verification_(opts.sat),
+      inner_copy_of_(std::move(inner_copy_of)) {
   input_role_.assign(matrix_.num_inputs(), -1);
   for (std::uint32_t i : outer_inputs_) input_role_[i] = 0;
   for (std::uint32_t i : inner_inputs_) input_role_[i] = 1;
@@ -80,6 +82,51 @@ ExistsForallSolver::ExistsForallSolver(const aig::Aig& matrix, aig::Lit root,
   }
   cnf::SolverSink sink(verification_);
   cnf::encode_cone_assert(matrix_, root_, input_sat, sink, /*value=*/false);
+
+  if (!inner_copy_of_.empty()) {
+    STEP_CHECK(inner_copy_of_.size() == inner_inputs_.size());
+    for (const int src : inner_copy_of_) {
+      STEP_CHECK(src >= -1 && src < static_cast<int>(inner_inputs_.size()));
+    }
+    sim_ = std::make_unique<aig::ConeSimulator>(matrix_, root_, opts_.sat.mem);
+    sim_slot_.assign(matrix_.num_inputs(), -1);
+    const std::vector<std::uint32_t>& sup = sim_->support();
+    for (std::size_t p = 0; p < sup.size(); ++p) {
+      sim_slot_[sup[p]] = static_cast<int>(p);
+    }
+    sim_words_.assign(sup.size(), 0);
+  }
+}
+
+void ExistsForallSolver::generalize(std::vector<sat::Lbool>& inner) {
+  // One simulation lane: bit 0 carries the assignment. Outer values come
+  // from the verification model, which agrees with the candidate wherever
+  // the candidate is defined.
+  auto word = [](sat::Lbool v) {
+    return v == sat::Lbool::kTrue ? ~std::uint64_t{0} : std::uint64_t{0};
+  };
+  const std::vector<std::uint32_t>& sup = sim_->support();
+  for (std::size_t p = 0; p < sup.size(); ++p) {
+    sim_words_[p] = word(verification_.model_value(ver_input_vars_[sup[p]]));
+  }
+  for (std::size_t j = 0; j < inner.size(); ++j) {
+    const int src = inner_copy_of_[j];
+    if (src < 0 || inner[j] == inner[src]) continue;
+    const int slot = sim_slot_[inner_inputs_[j]];
+    if (slot < 0) {  // outside the cone: the matrix cannot notice
+      inner[j] = inner[src];
+      continue;
+    }
+    sim_words_[slot] = word(inner[src]);
+    if ((sim_->run(sim_words_) & 1) == 0) {
+      inner[j] = inner[src];
+    } else {
+      sim_words_[slot] = word(inner[j]);
+    }
+  }
+  // The refinement must still exclude the current candidate, or CEGAR
+  // could propose it again forever.
+  STEP_CHECK((sim_->run(sim_words_) & 1) == 0);
 }
 
 void ExistsForallSolver::refine(
@@ -208,8 +255,12 @@ Qbf2Result ExistsForallSolver::solve(std::span<const sat::Lit> assumptions,
     std::vector<sat::Lbool> inner(inner_inputs_.size(), sat::Lbool::kFalse);
     for (std::size_t j = 0; j < inner_inputs_.size(); ++j) {
       const sat::Var vv = ver_input_vars_[inner_inputs_[j]];
-      if (vv != sat::kVarUndef) inner[j] = verification_.model_value(vv);
+      if (vv != sat::kVarUndef &&
+          verification_.model_value(vv) == sat::Lbool::kTrue) {
+        inner[j] = sat::Lbool::kTrue;
+      }
     }
+    if (sim_ != nullptr) generalize(inner);
     countermodels_.push_back(inner);
     refine(inner);
     ++res.iterations;

@@ -1,12 +1,14 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <string>
 #include <unordered_set>
 #include <vector>
 
 #include "aig/aig.h"
+#include "aig/simulate.h"
 #include "common/timer.h"
 #include "sat/solver.h"
 
@@ -42,6 +44,19 @@ struct Qbf2Result {
 ///    an inner countermodel refines the abstraction with the matrix
 ///    cofactored on that countermodel.
 ///
+/// Countermodel generalization: when the matrix relates inner inputs as
+/// relaxed copies of one another (X' and X'' copy X unless a partition
+/// variable frees them), `inner_copy_of` names, per inner position, the
+/// inner position it copies (-1 for none). Before refining, each inner
+/// value that differs from its source is greedily set equal to it, and
+/// the change is kept only if bit simulation of the matrix under the
+/// verification model's outer values still evaluates to false. Every
+/// differing copy contributes a literal to the cofactored refinement
+/// clause, so the result excludes many more candidates per round. Any
+/// inner assignment yields a sound refinement (∀inner already implies
+/// it); the simulation check is what keeps the current candidate
+/// excluded, so the loop still makes progress.
+///
 /// The matrix is an AIG cone; `outer_inputs` / `inner_inputs` partition
 /// (a subset of) its input indices. Side constraints purely over outer
 /// variables (the paper's fN and fT) are added through `abstraction()` /
@@ -66,7 +81,8 @@ class ExistsForallSolver {
   ExistsForallSolver(const aig::Aig& matrix, aig::Lit root,
                      std::vector<std::uint32_t> outer_inputs,
                      std::vector<std::uint32_t> inner_inputs,
-                     CegarOptions opts = {});
+                     CegarOptions opts = {},
+                     std::vector<int> inner_copy_of = {});
 
   /// Abstraction solver handle for adding outer-only side constraints.
   sat::Solver& abstraction() { return abstraction_; }
@@ -97,8 +113,9 @@ class ExistsForallSolver {
     return abstraction_.conflict_core();
   }
 
-  /// Inner countermodels discovered during solve(), indexed like
-  /// `inner_inputs`; feed them to seed_countermodel() of a later instance.
+  /// Inner countermodels discovered during solve() (after
+  /// generalization), indexed like `inner_inputs`; feed them to
+  /// seed_countermodel() of a later instance.
   const std::vector<std::vector<sat::Lbool>>& countermodels() const {
     return countermodels_;
   }
@@ -113,6 +130,9 @@ class ExistsForallSolver {
 
  private:
   void refine(const std::vector<sat::Lbool>& inner_assignment);
+  /// Copies source values into the inner countermodel `inner` (read from
+  /// the verification model) wherever the matrix stays falsified.
+  void generalize(std::vector<sat::Lbool>& inner);
 
   const aig::Aig& matrix_;
   aig::Lit root_;
@@ -126,6 +146,12 @@ class ExistsForallSolver {
   sat::Solver verification_;
   std::vector<sat::Var> ver_input_vars_;  ///< verification var per matrix input
   std::vector<int> input_role_;  ///< -1 free, 0 outer, 1 inner, per input index
+
+  std::vector<int> inner_copy_of_;  ///< source inner position, or -1
+  /// Matrix simulator for generalize(); null without a copy map.
+  std::unique_ptr<aig::ConeSimulator> sim_;
+  std::vector<int> sim_slot_;  ///< simulator support position per input, or -1
+  std::vector<std::uint64_t> sim_words_;
 
   std::vector<std::vector<sat::Lbool>> countermodels_;
   /// Dedupe sets for refine(): already-processed inner assignments and

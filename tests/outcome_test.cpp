@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
+#include <iterator>
 #include <set>
 #include <string>
 #include <vector>
@@ -380,7 +381,7 @@ TEST(BudgetClamp, RungBudgetClampsToCircuitRemaining) {
 // ---------- degradation ladder --------------------------------------------
 
 TEST(OutcomeLadder, MemTrippedConeDegradesToVerifiedConclusion) {
-  // Without the MG bootstrap the QBF search blows the 384 KB cone cap
+  // Without the MG bootstrap the QBF search blows the 320 KB cone cap
   // before reaching any partition (kMemLimit without the ladder); with
   // --degrade the cheaper-engine rung (STEP-MG under a fresh account)
   // concludes well inside the cap — and rung results run with extraction
@@ -389,7 +390,7 @@ TEST(OutcomeLadder, MemTrippedConeDegradesToVerifiedConclusion) {
   core::DecomposeOptions opts =
       base_opts(core::Engine::kQbfCombined, core::GateOp::kXor);
   opts.bootstrap_with_mg = false;
-  const ResourceGovernor::Options cap{/*soft_cone_bytes=*/384u << 10, 0};
+  const ResourceGovernor::Options cap{/*soft_cone_bytes=*/320u << 10, 0};
 
   ResourceGovernor plain_gov(cap);
   core::ParallelDriverOptions plain;
@@ -425,7 +426,7 @@ TEST(OutcomeLadder, MemTrippedConeDegradesUnderUnlimitedPoBudget) {
       base_opts(core::Engine::kQbfCombined, core::GateOp::kXor);
   opts.bootstrap_with_mg = false;
   opts.po_budget_s = 0.0;
-  ResourceGovernor gov({/*soft_cone_bytes=*/384u << 10, /*hard=*/0});
+  ResourceGovernor gov({/*soft_cone_bytes=*/320u << 10, /*hard=*/0});
   core::ParallelDriverOptions par;
   par.governor = &gov;
   par.degrade = true;
@@ -488,10 +489,20 @@ TEST(IoErrorType, ReadersThrowTypedIoError) {
 
 // ---------- CLI exit codes -------------------------------------------------
 
-int run_cli(const std::string& args) {
-  const std::string cmd =
-      std::string(STEP_CLI_PATH) + " " + args + " >/dev/null 2>&1";
+// Runs the CLI with stdout discarded and returns its exit code. With
+// `err`, what it wrote to stderr is left there; otherwise stderr is
+// discarded too.
+int run_cli(const std::string& args, std::string* err = nullptr) {
+  const std::string err_path = testing::TempDir() + "/outcome_cli_stderr.txt";
+  const std::string cmd = std::string(STEP_CLI_PATH) + " " + args +
+                          " >/dev/null 2>" +
+                          (err != nullptr ? err_path : "&1");
   const int rc = std::system(cmd.c_str());
+  if (err != nullptr) {
+    std::ifstream in(err_path);
+    err->assign(std::istreambuf_iterator<char>(in),
+                std::istreambuf_iterator<char>());
+  }
   return WIFEXITED(rc) ? WEXITSTATUS(rc) : -1;
 }
 
@@ -517,6 +528,14 @@ TEST(CliExitCodes, UsageErrorExitsWith2) {
   EXPECT_EQ(run_cli("decompose"), 2);
   EXPECT_EQ(run_cli("frobnicate x.blif"), 2);
   EXPECT_EQ(run_cli("decompose x.blif -faults not-a-plan"), 2);
+  // A bad flag is named before the usage text, so the user sees which
+  // argument was rejected.
+  std::string err;
+  EXPECT_EQ(run_cli("decompose x.blif -scratch", &err), 2);
+  EXPECT_EQ(err.rfind("step: unknown option '-scratch'\n", 0), 0u) << err;
+  EXPECT_EQ(run_cli("decompose x.blif -engine", &err), 2);
+  EXPECT_EQ(err.rfind("step: option '-engine' needs a value\n", 0), 0u)
+      << err;
 }
 
 TEST(CliExitCodes, MemCappedRunCompletesSuccessfully) {

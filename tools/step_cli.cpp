@@ -222,7 +222,10 @@ CliOptions parse_args(int argc, char** argv) {
   for (int i = 3; i < argc; ++i) {
     const std::string flag = argv[i];
     auto value = [&]() -> const char* {
-      if (i + 1 >= argc) usage();
+      if (i + 1 >= argc) {
+        std::fprintf(stderr, "step: option '%s' needs a value\n", flag.c_str());
+        usage();
+      }
       return argv[++i];
     };
     if (flag == "-op") {
@@ -362,6 +365,7 @@ CliOptions parse_args(int argc, char** argv) {
         usage();
       }
     } else {
+      std::fprintf(stderr, "step: unknown option '%s'\n", flag.c_str());
       usage();
     }
   }
