@@ -17,18 +17,9 @@ namespace step::bench {
 // One definition so the committed BENCH_sat.json, the google-benchmark
 // micro variants and any future consumer compare the *same* baselines.
 
-/// The shipping defaults (Luby restarts, LBD tiers, inprocessing,
-/// target-phase rephasing, binary watch lists).
+/// The shipping defaults (Luby restarts, size-triggered learnt-clause
+/// halving, inprocessing and preprocessing, binary watch lists).
 inline sat::SolverOptions modern_sat_config() { return {}; }
-
-/// The shipping defaults with EMA restarts instead of Luby — kept in the
-/// A/B so the restart trade-off stays measured (EMA wins hard single-shot
-/// refutations, Luby the incremental search loop).
-inline sat::SolverOptions modern_ema_sat_config() {
-  sat::SolverOptions o;
-  o.restart_mode = sat::RestartMode::kEma;
-  return o;
-}
 
 /// Per-technique preprocessing ablations: the shipping defaults with
 /// exactly one preprocessing technique disabled, plus the whole tier
@@ -59,18 +50,12 @@ inline sat::SolverOptions no_preprocess_sat_config() {
   return o;
 }
 
-/// The pre-modernization (PR-3) solver: Luby restarts and the old
-/// size-triggered activity-only halving; no tiers, no inprocessing, no
-/// rephasing.
+/// The pre-modernization (PR-3) solver: the shipping search (Luby
+/// restarts, size-triggered learnt-clause halving) with inprocessing and
+/// preprocessing off.
 inline sat::SolverOptions legacy_sat_config() {
   sat::SolverOptions o;
-  o.restart_mode = sat::RestartMode::kLuby;
-  o.rephase_interval = 0;
   o.inprocess = false;
-  o.core_lbd_cut = 0;
-  o.tier2_lbd_cut = 0;
-  o.reduce_interval = 1 << 30;
-  o.reduce_min_local = 0;
   return o;
 }
 

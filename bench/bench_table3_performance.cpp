@@ -9,10 +9,10 @@
 // incremental-vs-scratch comparison); CI emits BENCH_table3.json.
 //
 // `--sat-json <path>` runs the SAT-configuration A/B on top: the same
-// optimum-search loop under the modern solver defaults (LBD tiers,
-// inprocessing, rephasing; Luby restarts), the EMA-restart variant, and
-// the legacy PR-3 configuration (Luby restarts, activity-only reduction,
-// nothing else), plus a few micro SAT instances, written to
+// optimum-search loop under the modern solver defaults (inprocessing and
+// preprocessing on), one ablation per preprocessing technique, and the
+// legacy PR-3 configuration (the same Luby restarts and activity-only
+// reduction, nothing else), plus a few micro SAT instances, written to
 // BENCH_sat.json. CI fails when the modern configuration regresses the
 // search-loop wall time by >10% against legacy measured in the same run.
 // `--ab-only` skips the (slow) per-circuit table for exactly that use.
@@ -389,9 +389,8 @@ int main(int argc, char** argv) {
   // ---- SAT-configuration A/B: modern defaults vs the legacy solver -------
   // Same prepared search-loop workload, incremental mode on both sides;
   // only the sat::SolverOptions differ. This is the committed
-  // BENCH_sat.json evidence that the modernized CDCL hot path (binary
-  // watch lists, LBD tiers, EMA restarts, inprocessing) pays off on the
-  // workload the engines actually run.
+  // BENCH_sat.json evidence of what inprocessing and each preprocessing
+  // technique cost or buy on the workload the engines actually run.
   if (!sat_json_path.empty()) {
     struct SatAb {
       int found = 0;
@@ -401,7 +400,7 @@ int main(int argc, char** argv) {
       sat::Solver::Stats stats;
       std::vector<std::array<int, 3>> answers;
     };
-    constexpr int kConfigs = 7;
+    constexpr int kConfigs = 6;
     // More repeats than the architecture A/B: the configs are closer in
     // wall time, so the min-statistic needs more samples to stabilize.
     constexpr int kSatRepeats = 5;
@@ -410,14 +409,11 @@ int main(int argc, char** argv) {
     // tier off (the conflict baseline the CI gate compares against);
     // "legacy" is the PR-3 solver.
     const sat::SolverOptions cfgs[kConfigs] = {
-        bench::modern_sat_config(),        bench::modern_ema_sat_config(),
-        bench::no_elim_sat_config(),       bench::no_scc_sat_config(),
-        bench::no_probe_sat_config(),      bench::no_preprocess_sat_config(),
-        bench::legacy_sat_config()};
-    const char* cfg_names[kConfigs] = {"modern",   "modern_ema",
-                                       "no_elim",  "no_scc",
-                                       "no_probe", "no_preprocess",
-                                       "legacy"};
+        bench::modern_sat_config(),        bench::no_elim_sat_config(),
+        bench::no_scc_sat_config(),        bench::no_probe_sat_config(),
+        bench::no_preprocess_sat_config(), bench::legacy_sat_config()};
+    const char* cfg_names[kConfigs] = {"modern", "no_elim",       "no_scc",
+                                       "no_probe", "no_preprocess", "legacy"};
     SatAb sab[kConfigs];
     std::printf("\n# SAT-configuration A/B (incremental optimum search,"
                 " whole suite, all QBF engines):\n");
@@ -532,8 +528,6 @@ int main(int argc, char** argv) {
       j.kv("propagations", res.stats.propagations);
       j.kv("binary_propagations", res.stats.binary_propagations);
       j.kv("restarts", res.stats.restarts);
-      j.kv("blocked_restarts", res.stats.blocked_restarts);
-      j.kv("rephases", res.stats.rephases);
       j.kv("db_reductions", res.stats.db_reductions);
       j.kv("inprocess_rounds", res.stats.inprocess_rounds);
       j.kv("subsumed_clauses", res.stats.subsumed_clauses);

@@ -84,7 +84,7 @@ struct CircuitRunResult {
   long total_qbf_iterations() const;
   std::uint64_t total_abstraction_conflicts() const;
   std::uint64_t total_verification_conflicts() const;
-  /// Sum of the per-PO low-level SAT statistics (restarts, tier occupancy,
+  /// Sum of the per-PO low-level SAT statistics (restarts, reductions,
   /// inprocessing counters, …) — `step decompose --stats` prints these.
   sat::Solver::Stats total_solver_stats() const;
 };

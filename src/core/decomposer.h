@@ -59,7 +59,7 @@ struct DecomposeOptions {
   OptimumOptions optimum;
   QbfFinderOptions qbf;
   /// SAT-solver configuration applied to every solver the engines build
-  /// (relaxation / LJH / CEGAR pair): restart mode, LBD tiers,
+  /// (relaxation / LJH / CEGAR pair): restarts, learnt-clause budget,
   /// inprocessing — see sat::SolverOptions and docs/SOLVER.md.
   sat::SolverOptions sat;
   /// Don't-care-aware mode: the circuit drivers compute an SDC window per
@@ -115,8 +115,8 @@ struct DecomposeResult {
   std::uint64_t qbf_abstraction_conflicts = 0;
   std::uint64_t qbf_verification_conflicts = 0;
   /// Aggregated low-level SAT statistics of the solvers this call owned
-  /// (relaxation solver + CEGAR pair): conflicts, restarts, tier
-  /// occupancy, inprocessing counters, … (see sat::Solver::Stats).
+  /// (relaxation solver + CEGAR pair): conflicts, restarts, reductions,
+  /// inprocessing counters, … (see sat::Solver::Stats).
   sat::Solver::Stats solver_stats;
 };
 

@@ -13,18 +13,12 @@ namespace step::sat {
 using CRef = std::uint32_t;
 constexpr CRef kCRefUndef = 0xffffffffU;
 
-/// Learnt-clause quality tier (Chanseok Oh's three-tier scheme). Core
-/// clauses (lowest LBD) are kept forever, tier2 clauses survive while they
-/// keep participating in conflicts, local clauses compete on activity.
-enum class ClauseTier : std::uint32_t { kCore = 0, kTier2 = 1, kLocal = 2 };
-
 /// Clause header + inline literal array, stored in the arena.
 ///
 /// Layout (32-bit words):
-///   word 0: size (27 bits) | learnt flag (1 bit) | unused
+///   word 0: size (27 bits) | unused (3 bits) | removed (1) | learnt (1)
 ///   word 1: activity (float, learnt only)
 ///   word 2: proof id (resolution-proof logging)
-///   word 3: tier (2 bits) | removed (1) | used (1) | LBD (28 bits)
 /// Every clause carries a proof id so the resolution logger can name it.
 class Clause {
  public:
@@ -43,23 +37,10 @@ class Clause {
   std::uint32_t proof_id() const { return proof_id_; }
   void set_proof_id(std::uint32_t id) { proof_id_ = id; }
 
-  ClauseTier tier() const { return static_cast<ClauseTier>(extra_ & 3U); }
-  void set_tier(ClauseTier t) {
-    extra_ = (extra_ & ~3U) | static_cast<std::uint32_t>(t);
-  }
-
-  /// Lazily deleted (inprocessing); skipped everywhere, space reclaimed never
-  /// (the arena is append-only so CRefs stay stable).
-  bool removed() const { return (extra_ & 4U) != 0; }
-  void set_removed() { extra_ |= 4U; }
-
-  /// Touched by conflict analysis since the last reduce_db() round; tier2
-  /// clauses that stay untouched are demoted to local.
-  bool used() const { return (extra_ & 8U) != 0; }
-  void set_used(bool u) { extra_ = u ? (extra_ | 8U) : (extra_ & ~8U); }
-
-  std::uint32_t lbd() const { return extra_ >> 4; }
-  void set_lbd(std::uint32_t l) { extra_ = (extra_ & 15U) | (l << 4); }
+  /// Lazily deleted (reduction, inprocessing); skipped everywhere, space
+  /// reclaimed never (the arena is append-only so CRefs stay stable).
+  bool removed() const { return (header_ & 2U) != 0; }
+  void set_removed() { header_ |= 2U; }
 
   /// In-place shrink after strengthening/vivification. The caller owns
   /// re-attaching watches; trailing arena words are simply abandoned.
@@ -75,14 +56,12 @@ class Clause {
               (learnt ? 1U : 0U);
     activity_ = 0.0f;
     proof_id_ = 0;
-    extra_ = static_cast<std::uint32_t>(ClauseTier::kLocal);
     for (std::uint32_t i = 0; i < ls.size(); ++i) lits_[i] = ls[i];
   }
 
   std::uint32_t header_;
   float activity_;
   std::uint32_t proof_id_;
-  std::uint32_t extra_;
   Lit lits_[1];  // flexible array; arena allocates the real length
 };
 
@@ -145,7 +124,7 @@ class ClauseArena {
   }
 
  private:
-  static constexpr std::size_t kHeaderWords = 4;
+  static constexpr std::size_t kHeaderWords = 3;
 
   void charge_growth() {
     if (mem_tracker_ == nullptr) return;

@@ -147,13 +147,13 @@ bool Eliminator::try_eliminate(Var v, LitVec& pending_units) {
     s_.clauses_.push_back(cr);
     for (Lit l : res) occs_[index(l)].push_back(cr);
   }
-  for (CRef cr : ps) s_.mark_removed(cr, /*learnt_list=*/false);
-  for (CRef cr : ns) s_.mark_removed(cr, /*learnt_list=*/false);
+  for (CRef cr : ps) s_.mark_removed(cr);
+  for (CRef cr : ns) s_.mark_removed(cr);
   // Satisfied clauses containing v still have to go — v must end up with
   // zero live occurrences.
   auto drop_satisfied = [&](Lit l) {
     for (CRef cr : occs_[index(l)]) {
-      if (!s_.arena_[cr].removed()) s_.mark_removed(cr, false);
+      if (!s_.arena_[cr].removed()) s_.mark_removed(cr);
     }
   };
   drop_satisfied(pos);
@@ -175,7 +175,7 @@ void Eliminator::drop_learnts_of_eliminated() {
     if (c.removed()) continue;
     for (Lit l : c.lits()) {
       if (s_.var_state_[var(l)] == 1) {
-        s_.mark_removed(cr, /*learnt_list=*/true);
+        s_.mark_removed(cr);
         break;
       }
     }

@@ -146,7 +146,7 @@ void Prober::transitive_reduction() {
                      sign(c[1]) ? "-" : "", var(c[1]) + 1);
       }
       s_.detach_clause(cr);
-      s_.mark_removed(cr, /*learnt_list=*/false);
+      s_.mark_removed(cr);
       ++s_.stats_.transitive_reductions;
     }
   }

@@ -120,14 +120,13 @@ void EquivalenceReducer::rewrite_clauses(LitVec& pending_units) {
   // very binaries, collapsed to tautologies.
   struct Rewrite {
     CRef cr;
-    bool learnt;
     bool taut;
     LitVec lits;
   };
   std::vector<Rewrite> rewrites;
   LitVec scratch;
 
-  auto scan_list = [&](const std::vector<CRef>& list, bool learnt_list) {
+  auto scan_list = [&](const std::vector<CRef>& list) {
     for (CRef cr : list) {
       Clause& c = s_.arena_[cr];
       if (c.removed()) continue;
@@ -152,22 +151,21 @@ void EquivalenceReducer::rewrite_clauses(LitVec& pending_units) {
         if (var(scratch[i]) == var(scratch[i + 1])) taut = true;
       }
       if (!taut && s_.opts_.drat_logging) s_.drat_.add(scratch);
-      rewrites.push_back({cr, learnt_list, taut, scratch});
+      rewrites.push_back({cr, taut, scratch});
     }
   };
-  scan_list(s_.clauses_, false);
-  scan_list(s_.learnts_, true);
+  scan_list(s_.clauses_);
+  scan_list(s_.learnts_);
 
   for (Rewrite& rw : rewrites) {
     Clause& c = s_.arena_[rw.cr];
     if (rw.taut) {
-      s_.mark_removed(rw.cr, rw.learnt);
+      s_.mark_removed(rw.cr);
       continue;
     }
     if (s_.opts_.drat_logging) s_.drat_.del(c.lits());
     if (rw.lits.size() == 1) {
       pending_units.push_back(rw.lits[0]);
-      if (rw.learnt) s_.note_tier(c.tier(), -1);
       c.set_removed();
       continue;
     }
@@ -175,7 +173,6 @@ void EquivalenceReducer::rewrite_clauses(LitVec& pending_units) {
       c[static_cast<std::uint32_t>(i)] = rw.lits[i];
     }
     c.shrink(static_cast<std::uint32_t>(rw.lits.size()));
-    if (c.lbd() > c.size()) c.set_lbd(c.size());
   }
 }
 

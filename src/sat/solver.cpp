@@ -26,14 +26,6 @@ double luby(double y, int x) {
   return std::pow(y, seq);
 }
 
-// EMA smoothing constants (per conflict). The knobs that matter for tuning
-// are the margins in SolverOptions; the horizons follow Glucose/CaDiCaL
-// practice: the fast average tracks the last ~32 conflicts, the slow one
-// the last ~16k, and the trail average the last ~4k.
-constexpr double kEmaFastAlpha = 1.0 / 32.0;
-constexpr double kEmaSlowAlpha = 1.0 / 16384.0;
-constexpr double kTrailEmaAlpha = 1.0 / 4096.0;
-
 }  // namespace
 
 Solver::Stats& Solver::Stats::operator+=(const Stats& o) {
@@ -42,13 +34,8 @@ Solver::Stats& Solver::Stats::operator+=(const Stats& o) {
   propagations += o.propagations;
   binary_propagations += o.binary_propagations;
   restarts += o.restarts;
-  blocked_restarts += o.blocked_restarts;
-  rephases += o.rephases;
   learnt += o.learnt;
   db_reductions += o.db_reductions;
-  core_learnts += o.core_learnts;
-  tier2_learnts += o.tier2_learnts;
-  local_learnts += o.local_learnts;
   inprocess_rounds += o.inprocess_rounds;
   subsumed_clauses += o.subsumed_clauses;
   strengthened_clauses += o.strengthened_clauses;
@@ -76,7 +63,6 @@ Var Solver::new_var() {
   reason_.push_back(kCRefUndef);
   activity_.push_back(0.0);
   polarity_.push_back(0);
-  target_phase_.push_back(0);
   seen_.push_back(0);
   present_.push_back(0);
   seen2_.push_back(0);
@@ -395,89 +381,10 @@ void Solver::bump_clause(Clause& c) {
   }
 }
 
-// ------------------------------------------------------------ LBD tiers ----
+// ------------------------------------------------- learnt-clause database ----
 
-int Solver::compute_lbd(std::span<const Lit> lits) {
-  // Levels run up to the current decision level, which can exceed
-  // num_vars(): every already-satisfied assumption adds a dummy level,
-  // and assumption lists may repeat literals.
-  const std::size_t need = static_cast<std::size_t>(decision_level()) + 1;
-  if (need > level_stamp_.size()) level_stamp_.resize(need, -1);
-  const int stamp = ++stamp_counter_;
-  int lbd = 0;
-  for (Lit l : lits) {
-    const int lvl = level_[var(l)];
-    if (lvl == 0) continue;
-    if (level_stamp_[lvl] != stamp) {
-      level_stamp_[lvl] = stamp;
-      ++lbd;
-    }
-  }
-  return lbd;
-}
-
-void Solver::note_tier(ClauseTier t, int delta) {
-  std::uint64_t* counter = t == ClauseTier::kCore    ? &stats_.core_learnts
-                           : t == ClauseTier::kTier2 ? &stats_.tier2_learnts
-                                                     : &stats_.local_learnts;
-  *counter += static_cast<std::uint64_t>(delta);
-}
-
-/// A learnt clause participated in conflict analysis: bump it, mark it
-/// used (tier2 protection), and re-evaluate its glue — clauses whose LBD
-/// improves get promoted, which is the "glue-based protection" replacing
-/// the old pure-activity retention.
-void Solver::on_learnt_antecedent(Clause& c) {
-  bump_clause(c);
-  c.set_used(true);
-  if (c.lbd() > static_cast<std::uint32_t>(opts_.core_lbd_cut)) {
-    const int lbd = compute_lbd(c.lits());
-    if (lbd < static_cast<int>(c.lbd())) {
-      c.set_lbd(lbd);
-      const ClauseTier old_tier = c.tier();
-      ClauseTier new_tier = old_tier;
-      if (lbd <= opts_.core_lbd_cut) {
-        new_tier = ClauseTier::kCore;
-      } else if (lbd <= opts_.tier2_lbd_cut && old_tier == ClauseTier::kLocal) {
-        new_tier = ClauseTier::kTier2;
-      }
-      if (new_tier != old_tier) {
-        note_tier(old_tier, -1);
-        note_tier(new_tier, +1);
-        c.set_tier(new_tier);
-      }
-    }
-  }
-}
-
-void Solver::remove_learnt(CRef cr) {
-  Clause& c = arena_[cr];
-  detach_clause(cr);
-  note_tier(c.tier(), -1);
-  if (opts_.drat_logging) drat_.del(c.lits());
-  c.set_removed();
-}
-
-/// Tier2 protection round: clauses that took part in a conflict since the
-/// last reduction stay (flag cleared for the next round); untouched ones
-/// drop to the local tier and start competing on activity. Runs on every
-/// scheduled reduction tick — including the ones whose local halving is
-/// skipped — so tier2 can never hoard stale clauses behind the
-/// reduce_min_local guard.
-void Solver::demote_unused_tier2() {
-  for (CRef cr : learnts_) {
-    Clause& c = arena_[cr];
-    if (c.tier() != ClauseTier::kTier2) continue;
-    if (c.used()) {
-      c.set_used(false);
-    } else {
-      note_tier(ClauseTier::kTier2, -1);
-      note_tier(ClauseTier::kLocal, +1);
-      c.set_tier(ClauseTier::kLocal);
-    }
-  }
-}
-
+/// Halves the learnt clauses by activity, least active first, keeping
+/// every clause that is currently the reason of an assignment.
 void Solver::reduce_db() {
   STEP_CHECK(!opts_.proof_logging);
   ++stats_.db_reductions;
@@ -485,78 +392,19 @@ void Solver::reduce_db() {
     const Clause& c = arena_[cr];
     return reason_[var(c[0])] == cr && value(c[0]) == Lbool::kTrue;
   };
-
-  demote_unused_tier2();
-
-  // Local tier: keep the most active half; never remove locked reasons.
-  std::vector<CRef> local;
-  local.reserve(learnts_.size());
-  for (CRef cr : learnts_) {
-    if (arena_[cr].tier() == ClauseTier::kLocal) local.push_back(cr);
-  }
-  std::sort(local.begin(), local.end(), [&](CRef a, CRef b) {
+  std::vector<CRef> order(learnts_);
+  std::sort(order.begin(), order.end(), [&](CRef a, CRef b) {
     return arena_[a].activity() < arena_[b].activity();
   });
-  const std::size_t half = local.size() / 2;
+  const std::size_t half = order.size() / 2;
   for (std::size_t i = 0; i < half; ++i) {
-    if (!locked(local[i])) remove_learnt(local[i]);
+    if (locked(order[i])) continue;
+    detach_clause(order[i]);
+    mark_removed(order[i]);
   }
   learnts_.erase(std::remove_if(learnts_.begin(), learnts_.end(),
                                 [&](CRef cr) { return arena_[cr].removed(); }),
                  learnts_.end());
-  next_reduce_ = stats_.conflicts + static_cast<std::uint64_t>(
-                                        std::max(1, opts_.reduce_interval));
-}
-
-// ------------------------------------------------- restarts / rephasing ----
-
-void Solver::update_search_emas(int lbd) {
-  const double trail_size = static_cast<double>(trail_.size());
-  if (!emas_primed_) {
-    lbd_ema_fast_ = lbd_ema_slow_ = static_cast<double>(lbd);
-    trail_ema_ = trail_size;
-    emas_primed_ = true;
-    return;
-  }
-  lbd_ema_fast_ += kEmaFastAlpha * (lbd - lbd_ema_fast_);
-  lbd_ema_slow_ += kEmaSlowAlpha * (lbd - lbd_ema_slow_);
-  trail_ema_ += kTrailEmaAlpha * (trail_size - trail_ema_);
-  // Blocking: a conflict with an unusually deep trail suggests the solver
-  // is closing in on a model — postpone a pending restart.
-  if (opts_.restart_block_margin > 0.0 &&
-      opts_.restart_mode == RestartMode::kEma &&
-      lbd_ema_fast_ > opts_.restart_margin * lbd_ema_slow_ &&
-      trail_size > opts_.restart_block_margin * trail_ema_ &&
-      stats_.conflicts >= restart_hold_until_) {
-    restart_hold_until_ =
-        stats_.conflicts + static_cast<std::uint64_t>(
-                               std::max(1, opts_.restart_min_interval));
-    ++stats_.blocked_restarts;
-  }
-}
-
-bool Solver::ema_restart_due(int conflicts_since_restart) {
-  return emas_primed_ &&
-         conflicts_since_restart >= opts_.restart_min_interval &&
-         stats_.conflicts >= restart_hold_until_ &&
-         lbd_ema_fast_ > opts_.restart_margin * lbd_ema_slow_;
-}
-
-void Solver::maybe_update_target_phase() {
-  if (opts_.rephase_interval <= 0) return;
-  if (trail_.size() <= best_trail_size_) return;
-  best_trail_size_ = trail_.size();
-  for (Lit p : trail_) {
-    target_phase_[var(p)] = (assigns_[var(p)] == Lbool::kTrue) ? 1 : 0;
-  }
-}
-
-void Solver::rephase() {
-  polarity_ = target_phase_;
-  best_trail_size_ = 0;
-  next_rephase_ = stats_.conflicts +
-                  static_cast<std::uint64_t>(opts_.rephase_interval);
-  ++stats_.rephases;
 }
 
 // ---------------------------------------------------- conflict analysis ----
@@ -612,7 +460,7 @@ void Solver::analyze(CRef confl, LitVec& out_learnt, int& out_btlevel,
         out_steps.push_back({c.proof_id(), var(p)});
       }
     }
-    if (c.learnt()) on_learnt_antecedent(c);
+    if (c.learnt()) bump_clause(c);
     for (std::uint32_t jj = (p == kLitUndef) ? 0 : 1; jj < c.size(); ++jj) {
       const Lit q = c[jj];
       const Var v = var(q);
@@ -731,8 +579,6 @@ Result Solver::search(std::int64_t nof_conflicts, const Deadline* deadline) {
         return Result::kUnsat;
       }
 
-      maybe_update_target_phase();
-
       int btlevel = 0;
       ProofId start = kProofIdUndef;
       analyze(confl, learnt, btlevel, start, steps, dropped0);
@@ -742,8 +588,6 @@ Result Solver::search(std::int64_t nof_conflicts, const Deadline* deadline) {
         pid = proof_.add_derived(start, steps);
       }
       if (opts_.drat_logging) drat_.add(learnt);
-      const int lbd = learnt.size() == 1 ? 1 : compute_lbd(learnt);
-      update_search_emas(lbd);
       cancel_until(btlevel);
       if (learnt.size() == 1) {
         enqueue(learnt[0], kCRefUndef);
@@ -752,14 +596,6 @@ Result Solver::search(std::int64_t nof_conflicts, const Deadline* deadline) {
         const CRef cr = arena_.alloc(learnt, /*learnt=*/true);
         Clause& c = arena_[cr];
         if (opts_.proof_logging) c.set_proof_id(pid);
-        c.set_lbd(lbd);
-        const ClauseTier tier = lbd <= opts_.core_lbd_cut ? ClauseTier::kCore
-                                : lbd <= opts_.tier2_lbd_cut
-                                    ? ClauseTier::kTier2
-                                    : ClauseTier::kLocal;
-        c.set_tier(tier);
-        c.set_used(true);
-        note_tier(tier, +1);
         learnts_.push_back(cr);
         attach_clause(cr);
         bump_clause(c);
@@ -769,43 +605,23 @@ Result Solver::search(std::int64_t nof_conflicts, const Deadline* deadline) {
       decay_var_activity();
       decay_clause_activity();
 
-      if (opts_.rephase_interval > 0 && stats_.conflicts >= next_rephase_ &&
-          next_rephase_ != 0) {
-        rephase();
-      }
-
       if ((conflict_c & 0xf) == 0 && deadline && deadline->expired()) {
         cancel_until(0);
         return Result::kUnknown;
       }
     } else {
-      bool restart_now = nof_conflicts >= 0 && conflict_c >= nof_conflicts;
-      if (!restart_now && opts_.restart_mode == RestartMode::kEma) {
-        restart_now = ema_restart_due(conflict_c);
-      }
-      if (restart_now) {
+      if (nof_conflicts >= 0 && conflict_c >= nof_conflicts) {
         ++stats_.restarts;
         cancel_until(0);
         return Result::kUnknown;
       }
-      if (!opts_.proof_logging) {
-        if (stats_.conflicts >= next_reduce_) {
-          if (stats_.local_learnts >=
-              static_cast<std::uint64_t>(std::max(0, opts_.reduce_min_local))) {
-            reduce_db();
-          } else {
-            // Tiny local tier: skip the halving (it would just churn), but
-            // still demote stale tier2 clauses and reschedule.
-            demote_unused_tier2();
-            next_reduce_ =
-                stats_.conflicts + static_cast<std::uint64_t>(
-                                       std::max(1, opts_.reduce_interval));
-          }
-        } else if (static_cast<double>(stats_.local_learnts) -
-                       static_cast<double>(trail_.size()) >=
-                   max_learnts_) {
-          reduce_db();
-        }
+      // Proof nodes must stay resolvable, so a proof-logging solver keeps
+      // every learnt clause.
+      if (!opts_.proof_logging &&
+          static_cast<double>(learnts_.size()) -
+                  static_cast<double>(trail_.size()) >=
+              max_learnts_) {
+        reduce_db();
       }
 
       Lit next = kLitUndef;
@@ -903,24 +719,12 @@ Result Solver::solve_limited(std::span<const Lit> assumptions,
 
   max_learnts_ = std::max(opts_.max_learnts_floor,
                           static_cast<double>(clauses_.size()) * 2.0);
-  if (next_reduce_ == 0) {
-    next_reduce_ =
-        stats_.conflicts +
-        static_cast<std::uint64_t>(std::max(1, opts_.reduce_interval));
-  }
-  if (next_rephase_ == 0 && opts_.rephase_interval > 0) {
-    next_rephase_ = stats_.conflicts +
-                    static_cast<std::uint64_t>(opts_.rephase_interval);
-  }
 
   const std::uint64_t conflicts_at_start = stats_.conflicts;
   Result status = Result::kUnknown;
   for (int curr_restarts = 0; status == Result::kUnknown; ++curr_restarts) {
-    std::int64_t budget = -1;
-    if (opts_.restart_mode == RestartMode::kLuby) {
-      budget = static_cast<std::int64_t>(luby(2.0, curr_restarts) *
-                                         opts_.restart_base);
-    }
+    std::int64_t budget = static_cast<std::int64_t>(
+        luby(2.0, curr_restarts) * opts_.restart_base);
     if (conflict_budget >= 0) {
       const std::int64_t used =
           static_cast<std::int64_t>(stats_.conflicts - conflicts_at_start);
@@ -989,11 +793,10 @@ void Solver::rebuild_watches() {
   for (CRef cr : learnts_) attach_clause(cr);
 }
 
-void Solver::mark_removed(CRef cr, bool learnt_list) {
+void Solver::mark_removed(CRef cr) {
   Clause& c = arena_[cr];
   STEP_CHECK(!c.removed());
   if (opts_.drat_logging) drat_.del(c.lits());
-  if (learnt_list) note_tier(c.tier(), -1);
   c.set_removed();
 }
 
@@ -1014,13 +817,11 @@ bool Solver::shrink_clause(CRef cr, const LitVec& new_lits,
   stats_.removed_lits += c.size() - new_lits.size();
   if (new_lits.size() == 1) {
     pending_units.push_back(new_lits[0]);
-    if (c.learnt()) note_tier(c.tier(), -1);
     c.set_removed();
     return false;
   }
   for (std::size_t i = 0; i < new_lits.size(); ++i) c[i] = new_lits[i];
   c.shrink(static_cast<std::uint32_t>(new_lits.size()));
-  if (c.lbd() > c.size()) c.set_lbd(c.size());
   return true;
 }
 
@@ -1121,7 +922,7 @@ std::size_t Solver::subsume_round(LitVec& pending_units) {
         if (fail) continue;
         if (flipped == 0) {
           // sub ⊆ victim: the victim is redundant.
-          mark_removed(victim_cr, victim.learnt());
+          mark_removed(victim_cr);
           ++stats_.subsumed_clauses;
         } else {
           // Self-subsuming resolution: drop the flipped literal.
@@ -1139,69 +940,63 @@ std::size_t Solver::subsume_round(LitVec& pending_units) {
   return pending_units.size() - units_before;
 }
 
-/// One bounded vivification round over problem clauses and protected
-/// learnts: re-derive each clause under unit propagation and keep the
-/// shortest implied prefix. Runs at temporary decision levels; the clause
-/// under test is detached so it cannot justify itself.
+/// One bounded vivification round over the problem clauses: re-derive
+/// each clause under unit propagation and keep the shortest implied
+/// prefix. Runs at temporary decision levels; the clause under test is
+/// detached so it cannot justify itself.
 std::size_t Solver::vivify_round(LitVec& pending_units) {
   std::size_t shortened = 0;
   std::int64_t budget = opts_.vivify_limit;
   LitVec lits, kept;
 
-  auto vivify_list = [&](const std::vector<CRef>& list) {
-    for (CRef cr : list) {
-      if (budget <= 0) return;
-      Clause& c = arena_[cr];
-      if (c.removed() || c.size() < 3 ||
-          c.size() > static_cast<std::uint32_t>(opts_.vivify_max_size)) {
-        continue;
-      }
-      if (c.learnt() && c.tier() == ClauseTier::kLocal) continue;
-      lits.assign(c.lits().begin(), c.lits().end());
-      detach_clause(cr);
-
-      kept.clear();
-      for (Lit l : lits) {
-        const Lbool v = value(l);
-        if (v == Lbool::kTrue) {
-          // ¬(kept) propagated l: the clause (kept ∪ {l}) is implied.
-          kept.push_back(l);
-          break;
-        }
-        if (v == Lbool::kFalse) continue;  // implied-redundant literal
-        kept.push_back(l);
-        new_decision_level();
-        enqueue(~l, kCRefUndef);
-        --budget;
-        const std::size_t trail_before = trail_.size();
-        const CRef confl = propagate();
-        budget -= static_cast<std::int64_t>(trail_.size() - trail_before);
-        if (confl != kCRefUndef) break;  // ¬(kept) alone is contradictory
-      }
-      cancel_until(0);
-
-      if (kept.empty()) {
-        // Every literal is false at level 0 — the instance is refuted.
-        if (opts_.drat_logging) drat_.add({});
-        ok_ = false;
-        return;
-      }
-      if (kept.size() == lits.size()) {
-        // Either no redundancy found, or the conflict only arrived on the
-        // last literal — the implied clause is the clause itself.
-        attach_clause(cr);
-        continue;
-      }
-      ++shortened;
-      ++stats_.vivified_clauses;
-      if (shrink_clause(cr, kept, pending_units)) {
-        attach_clause(cr);
-      }
+  for (CRef cr : clauses_) {
+    if (budget <= 0) break;
+    Clause& c = arena_[cr];
+    if (c.removed() || c.size() < 3 ||
+        c.size() > static_cast<std::uint32_t>(opts_.vivify_max_size)) {
+      continue;
     }
-  };
+    lits.assign(c.lits().begin(), c.lits().end());
+    detach_clause(cr);
 
-  vivify_list(clauses_);
-  if (ok_) vivify_list(learnts_);
+    kept.clear();
+    for (Lit l : lits) {
+      const Lbool v = value(l);
+      if (v == Lbool::kTrue) {
+        // ¬(kept) propagated l: the clause (kept ∪ {l}) is implied.
+        kept.push_back(l);
+        break;
+      }
+      if (v == Lbool::kFalse) continue;  // implied-redundant literal
+      kept.push_back(l);
+      new_decision_level();
+      enqueue(~l, kCRefUndef);
+      --budget;
+      const std::size_t trail_before = trail_.size();
+      const CRef confl = propagate();
+      budget -= static_cast<std::int64_t>(trail_.size() - trail_before);
+      if (confl != kCRefUndef) break;  // ¬(kept) alone is contradictory
+    }
+    cancel_until(0);
+
+    if (kept.empty()) {
+      // Every literal is false at level 0 — the instance is refuted.
+      if (opts_.drat_logging) drat_.add({});
+      ok_ = false;
+      break;
+    }
+    if (kept.size() == lits.size()) {
+      // Either no redundancy found, or the conflict only arrived on the
+      // last literal — the implied clause is the clause itself.
+      attach_clause(cr);
+      continue;
+    }
+    ++shortened;
+    ++stats_.vivified_clauses;
+    if (shrink_clause(cr, kept, pending_units)) {
+      attach_clause(cr);
+    }
+  }
   return shortened;
 }
 
@@ -1234,7 +1029,7 @@ void Solver::inprocess() {
   // Phase 1 — sweep: drop satisfied clauses, strip false literals. Purely
   // syntactic on the level-0-fixed assignment; watches go stale and are
   // rebuilt below.
-  auto sweep_list = [&](std::vector<CRef>& list, bool learnt_list) {
+  auto sweep_list = [&](std::vector<CRef>& list) {
     for (CRef cr : list) {
       Clause& c = arena_[cr];
       if (c.removed()) continue;
@@ -1249,7 +1044,7 @@ void Solver::inprocess() {
         if (v == Lbool::kUndef) kept.push_back(l);
       }
       if (satisfied) {
-        mark_removed(cr, learnt_list);
+        mark_removed(cr);
         continue;
       }
       STEP_CHECK(!kept.empty());  // all-false would have conflicted above
@@ -1259,8 +1054,8 @@ void Solver::inprocess() {
                               [&](CRef cr) { return arena_[cr].removed(); }),
                list.end());
   };
-  sweep_list(clauses_, false);
-  sweep_list(learnts_, true);
+  sweep_list(clauses_);
+  sweep_list(learnts_);
 
   // Phase 2 — backward subsumption + self-subsuming resolution.
   subsume_round(pending_units);
@@ -1285,8 +1080,8 @@ void Solver::inprocess() {
       }
       drat_units_emitted = trail_.size();
       const std::size_t trail_before = trail_.size();
-      sweep_list(clauses_, false);
-      sweep_list(learnts_, true);
+      sweep_list(clauses_);
+      sweep_list(learnts_);
       compact_clause_lists();
       rebuild_watches();
       if (!settle_units(pending_units)) return false;

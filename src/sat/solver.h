@@ -15,12 +15,6 @@
 
 namespace step::sat {
 
-/// Restart policy of the search loop.
-enum class RestartMode : std::uint8_t {
-  kLuby,  ///< Luby sequence scaled by `restart_base` (the classic default)
-  kEma,   ///< adaptive: fast/slow exponential moving averages of learnt LBD
-};
-
 /// Tuning knobs and feature switches. docs/SOLVER.md documents every field
 /// and the trade-offs; the defaults are the modern configuration the
 /// committed BENCH_sat.json A/B validates.
@@ -30,42 +24,13 @@ struct SolverOptions {
   bool phase_saving = true;
   bool minimize_learnt = true;   ///< basic (non-recursive) minimization
 
-  // ---- restarts ----
-  /// Default Luby: the engines' workload is thousands of small
-  /// assumption-driven incremental queries, where Luby measures ~10%
-  /// fewer conflicts than EMA. Switch to kEma for hard single-shot
-  /// instances (the BENCH_sat.json micro section shows it ~30% ahead on
-  /// pigeonhole-style refutations).
-  RestartMode restart_mode = RestartMode::kLuby;
-  int restart_base = 100;        ///< Luby restart unit, in conflicts.
-  /// EMA mode: restart when fast_lbd_ema > restart_margin * slow_lbd_ema.
-  double restart_margin = 1.25;
-  /// EMA mode: minimum conflicts between restarts (also the warm-up before
-  /// the averages are trusted).
-  int restart_min_interval = 50;
-  /// EMA mode: postpone the restart when the trail is this much larger
-  /// than its long-term average — the solver is probably closing in on a
-  /// model ("blocking" restarts, Glucose-style). 0 disables blocking.
-  double restart_block_margin = 1.4;
-  /// Every `rephase_interval` conflicts, reset saved phases to the target
-  /// phase (the assignment of the largest trail seen since the last
-  /// rephase). 0 disables rephasing.
-  int rephase_interval = 10000;
-
-  // ---- learnt-clause database (LBD tiers) ----
-  /// Learnts with LBD <= core_lbd_cut are kept forever.
-  int core_lbd_cut = 3;
-  /// Learnts with LBD in (core, tier2] survive while they keep appearing
-  /// in conflict analysis; untouched ones are demoted to the local tier.
-  int tier2_lbd_cut = 6;
-  /// Conflicts between reduce_db() rounds (the local tier halves on
-  /// activity each round, like the classic scheme).
-  int reduce_interval = 2000;
-  /// Scheduled rounds are skipped while the local tier is smaller than
-  /// this — halving a tiny database just churns useful clauses.
-  int reduce_min_local = 300;
-  /// Floor for the local learnt budget before an extra reduce_db() fires
-  /// (the effective limit also scales with the problem size).
+  // ---- restarts and learnt-clause reduction ----
+  /// Luby restart unit, in conflicts: the n-th restart comes after
+  /// luby(n) * restart_base conflicts.
+  int restart_base = 100;
+  /// Floor of the learnt-clause budget: reduce_db() halves the learnts
+  /// once their live count minus the trail reaches
+  /// max(max_learnts_floor, 2 * |problem clauses|).
   double max_learnts_floor = 4000.0;
 
   // ---- inter-solve inprocessing ----
@@ -131,19 +96,19 @@ struct SolverOptions {
   /// small.
   bool proof_logging = false;
   /// Record a clausal DRAT trace (additions + deletions) instead;
-  /// compatible with the tiered database and with inprocessing. Check it
+  /// compatible with learnt-clause reduction and with inprocessing. Check it
   /// with check_drat() against the original clauses.
   bool drat_logging = false;
 };
 
 /// Conflict-driven clause-learning SAT solver, MiniSat lineage with the
 /// modern hot path: blocking-literal watcher lists plus a dedicated
-/// binary-clause implication list, first-UIP learning with LBD-tiered
-/// learnt retention (core/tier2/local), VSIDS decisions, phase saving with
-/// target-phase rephasing, Luby or EMA-adaptive restarts, bounded
-/// inter-solve inprocessing (subsumption / self-subsuming resolution /
-/// vivification), incremental solving under assumptions with
-/// final-conflict cores, and optional resolution- or DRAT-proof logging.
+/// binary-clause implication list, first-UIP learning, VSIDS decisions,
+/// phase saving, Luby restarts, a size-triggered activity halving of the
+/// learnt clauses, bounded inter-solve inprocessing (subsumption /
+/// self-subsuming resolution / vivification), incremental solving under
+/// assumptions with final-conflict cores, and optional resolution- or
+/// DRAT-proof logging.
 ///
 /// Typical use:
 ///   Solver s;
@@ -244,14 +209,8 @@ class Solver {
     std::uint64_t propagations = 0;
     std::uint64_t binary_propagations = 0;  ///< subset via the binary list
     std::uint64_t restarts = 0;
-    std::uint64_t blocked_restarts = 0;  ///< EMA restarts postponed on trail
-    std::uint64_t rephases = 0;
     std::uint64_t learnt = 0;
     std::uint64_t db_reductions = 0;
-    // Current tier occupancy of the learnt database.
-    std::uint64_t core_learnts = 0;
-    std::uint64_t tier2_learnts = 0;
-    std::uint64_t local_learnts = 0;
     // Inprocessing totals.
     std::uint64_t inprocess_rounds = 0;
     std::uint64_t subsumed_clauses = 0;
@@ -324,26 +283,14 @@ class Solver {
   void bump_clause(Clause& c);
   void decay_clause_activity() { cla_inc_ /= opts_.clause_decay; }
 
-  // Learnt database (LBD tiers).
-  int compute_lbd(std::span<const Lit> lits);
-  void on_learnt_antecedent(Clause& c);
-  void note_tier(ClauseTier t, int delta);
-  void remove_learnt(CRef cr);
-  void demote_unused_tier2();
   void reduce_db();
-
-  // Restarts / rephasing.
-  void update_search_emas(int lbd);
-  bool ema_restart_due(int conflicts_since_restart);
-  void maybe_update_target_phase();
-  void rephase();
 
   // Inter-solve inprocessing + preprocessing.
   void inprocess();
   void compact_clause_lists();
   void rebuild_watches();
   bool shrink_clause(CRef cr, const LitVec& new_lits, LitVec& pending_units);
-  void mark_removed(CRef cr, bool learnt_list);
+  void mark_removed(CRef cr);
   std::size_t subsume_round(LitVec& pending_units);
   std::size_t vivify_round(LitVec& pending_units);
   bool settle_units(const LitVec& pending_units);
@@ -392,23 +339,11 @@ class Solver {
   double cla_inc_ = 1.0;
   VarOrderHeap order_heap_{activity_};
   std::vector<char> polarity_;
-  std::vector<char> target_phase_;
-  std::size_t best_trail_size_ = 0;
 
   // Learning temporaries.
   std::vector<char> seen_;
   std::vector<char> present_;  ///< literals currently in the learnt clause
   std::vector<char> seen2_;    ///< marks for level-0 resolution chains
-  std::vector<int> level_stamp_;  ///< LBD computation scratch, per level
-  int stamp_counter_ = 0;
-
-  // Restart state (EMA mode).
-  double lbd_ema_fast_ = 0.0;
-  double lbd_ema_slow_ = 0.0;
-  double trail_ema_ = 0.0;
-  bool emas_primed_ = false;
-  std::uint64_t restart_hold_until_ = 0;  ///< conflicts stamp for blocking
-  std::uint64_t next_rephase_ = 0;
 
   // Results.
   std::vector<Lbool> model_;
@@ -421,7 +356,6 @@ class Solver {
 
   // Learnt DB management.
   double max_learnts_ = 0.0;
-  std::uint64_t next_reduce_ = 0;
   std::uint64_t solve_calls_ = 0;
   std::uint64_t last_inprocess_solve_ = 0;
   std::uint64_t last_inprocess_conflicts_ = 0;

@@ -1,5 +1,6 @@
-// DRAT round-trip: solve with the modern configuration — tiered deletion
-// and inprocessing (subsumption, strengthening, vivification) forced on —
+// DRAT round-trip: solve with the modern configuration — learnt-clause
+// deletion and inprocessing (subsumption, strengthening, vivification)
+// forced on —
 // while recording the clausal trace, then replay the trace through the
 // in-repo forward RUP checker (sat/proof.h) against the original formula.
 // UNSAT runs must end in a verified empty clause *including* every
@@ -19,11 +20,8 @@ namespace {
 SolverOptions drat_config() {
   SolverOptions o;
   o.drat_logging = true;
-  o.restart_mode = RestartMode::kEma;
-  o.restart_min_interval = 5;
-  o.reduce_interval = 50;      // tiered deletions mid-search
-  o.reduce_min_local = 0;      // …even from a small local tier
-  o.max_learnts_floor = 16.0;  // …and via the size backstop
+  o.restart_base = 2;          // restarts every few conflicts
+  o.max_learnts_floor = 16.0;  // learnt-clause deletions mid-search
   o.inprocess = true;
   o.inprocess_interval = 1;    // inprocess before every solve
   o.inprocess_min_conflicts = 0;
@@ -74,9 +72,11 @@ Result solve_logged(const Instance& inst, Solver& s) {
   return s.solve();
 }
 
-void expect_checked_unsat(const Instance& inst) {
+void expect_checked_unsat(const Instance& inst,
+                          Solver::Stats* total = nullptr) {
   Solver s(drat_config());
   ASSERT_EQ(solve_logged(inst, s), Result::kUnsat);
+  if (total != nullptr) *total += s.stats();
   ASSERT_FALSE(s.drat().empty());
   const DratCheckResult r = check_drat(inst.num_vars, inst.clauses, s.drat());
   EXPECT_TRUE(r.ok) << r.error;
@@ -84,22 +84,28 @@ void expect_checked_unsat(const Instance& inst) {
 }
 
 TEST(Drat, PigeonholeWithInprocessingAndDeletionChecks) {
-  for (int holes = 3; holes <= 5; ++holes) {
+  Solver::Stats total;
+  for (int holes = 3; holes <= 6; ++holes) {
     SCOPED_TRACE(holes);
-    expect_checked_unsat(pigeonhole(holes));
+    expect_checked_unsat(pigeonhole(holes), &total);
   }
+  // The traces must cover restarts and learnt-clause reductions (only
+  // pigeonhole-6 learns past the 2 x |clauses| reduction budget).
+  EXPECT_GT(total.restarts, 0u);
+  EXPECT_GT(total.db_reductions, 0u);
 }
 
 TEST(Drat, TraceContainsDeletionLines) {
   // The point of DRAT over plain RUP logs: deletions are recorded, and
-  // the checker honours them. Pigeonhole-5 reliably triggers both the
-  // tiered reduce_db and the inprocessing sweep.
+  // the checker honours them. Pigeonhole-6 reliably triggers both
+  // reduce_db and the inprocessing sweep.
   Solver s(drat_config());
-  ASSERT_EQ(solve_logged(pigeonhole(5), s), Result::kUnsat);
+  ASSERT_EQ(solve_logged(pigeonhole(6), s), Result::kUnsat);
   bool has_delete = false;
   for (const DratLine& l : s.drat().lines()) has_delete |= l.is_delete;
   EXPECT_TRUE(has_delete);
   EXPECT_GT(s.stats().inprocess_rounds, 0u);
+  EXPECT_GT(s.stats().db_reductions, 0u);
   EXPECT_NE(s.drat().to_text().find("d "), std::string::npos);
 }
 

@@ -15,6 +15,7 @@
 #include <iterator>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "benchgen/generators.h"
@@ -235,7 +236,8 @@ TEST(OutcomeReach, MemLimitAbandonsConeWhileSiblingsConclude) {
   const aig::Aig circ = benchgen::merge(
       {benchgen::parity_tree(16), benchgen::ripple_adder(3)});
   const auto opts = base_opts(core::Engine::kQbfCombined, core::GateOp::kXor);
-  ResourceGovernor gov({/*soft_cone_bytes=*/256u << 10, /*hard=*/0});
+  constexpr std::size_t kConeCap = 144u << 10;
+  ResourceGovernor gov({/*soft_cone_bytes=*/kConeCap, /*hard=*/0});
   core::ParallelDriverOptions par;
   par.governor = &gov;
   const auto r = core::run_circuit(circ, "mix", opts, 600.0, par);
@@ -249,7 +251,7 @@ TEST(OutcomeReach, MemLimitAbandonsConeWhileSiblingsConclude) {
     EXPECT_EQ(r.pos[i].reason, core::OutcomeReason::kOk);
   }
   EXPECT_GE(gov.cones_tripped(), 1u);
-  EXPECT_GT(gov.peak_run_bytes(), 256u << 10);
+  EXPECT_GT(gov.peak_run_bytes(), kConeCap);
   EXPECT_EQ(r.outcome_counts().total(), r.pos.size());
   EXPECT_EQ(r.outcome_counts().of(core::OutcomeReason::kMemLimit), 1u);
 }
@@ -381,21 +383,21 @@ TEST(BudgetClamp, RungBudgetClampsToCircuitRemaining) {
 // ---------- degradation ladder --------------------------------------------
 
 TEST(OutcomeLadder, MemTrippedConeDegradesToVerifiedConclusion) {
-  // Without the MG bootstrap the QBF search blows the 320 KB cone cap
+  // Without the MG bootstrap the QBF search blows the 584 KB cone cap
   // before reaching any partition (kMemLimit without the ladder); with
   // --degrade the cheaper-engine rung (STEP-MG under a fresh account)
   // concludes well inside the cap — and rung results run with extraction
   // and SAT verification forced on, so a degraded answer is still proven.
-  const aig::Aig circ = benchgen::parity_tree(24);
+  const aig::Aig circ = benchgen::parity_tree(32);
   core::DecomposeOptions opts =
       base_opts(core::Engine::kQbfCombined, core::GateOp::kXor);
   opts.bootstrap_with_mg = false;
-  const ResourceGovernor::Options cap{/*soft_cone_bytes=*/320u << 10, 0};
+  const ResourceGovernor::Options cap{/*soft_cone_bytes=*/584u << 10, 0};
 
   ResourceGovernor plain_gov(cap);
   core::ParallelDriverOptions plain;
   plain.governor = &plain_gov;
-  const auto without = core::run_circuit(circ, "par24", opts, 600.0, plain);
+  const auto without = core::run_circuit(circ, "par32", opts, 600.0, plain);
   ASSERT_EQ(without.pos.size(), 1u);
   EXPECT_EQ(without.pos[0].status, core::DecomposeStatus::kUnknown);
   EXPECT_EQ(without.pos[0].reason, core::OutcomeReason::kMemLimit);
@@ -405,7 +407,7 @@ TEST(OutcomeLadder, MemTrippedConeDegradesToVerifiedConclusion) {
   core::ParallelDriverOptions ladder = plain;
   ladder.governor = &ladder_gov;
   ladder.degrade = true;
-  const auto with = core::run_circuit(circ, "par24", opts, 600.0, ladder);
+  const auto with = core::run_circuit(circ, "par32", opts, 600.0, ladder);
   ASSERT_EQ(with.pos.size(), 1u);
   EXPECT_EQ(with.pos[0].status, core::DecomposeStatus::kDecomposed);
   EXPECT_EQ(with.pos[0].reason, core::OutcomeReason::kOk);
@@ -421,16 +423,16 @@ TEST(OutcomeLadder, MemTrippedConeDegradesUnderUnlimitedPoBudget) {
   // po_budget_s == 0 ("no per-PO deadline") used to hand ladder rungs a
   // 0 * frac == 0 budget — unlimited, not a slice. The fixed rung budget
   // is a finite kDefaultRungBudget_s-scaled slice and still concludes.
-  const aig::Aig circ = benchgen::parity_tree(24);
+  const aig::Aig circ = benchgen::parity_tree(32);
   core::DecomposeOptions opts =
       base_opts(core::Engine::kQbfCombined, core::GateOp::kXor);
   opts.bootstrap_with_mg = false;
   opts.po_budget_s = 0.0;
-  ResourceGovernor gov({/*soft_cone_bytes=*/320u << 10, /*hard=*/0});
+  ResourceGovernor gov({/*soft_cone_bytes=*/584u << 10, /*hard=*/0});
   core::ParallelDriverOptions par;
   par.governor = &gov;
   par.degrade = true;
-  const auto r = core::run_circuit(circ, "par24", opts, 600.0, par);
+  const auto r = core::run_circuit(circ, "par32", opts, 600.0, par);
   ASSERT_EQ(r.pos.size(), 1u);
   EXPECT_EQ(r.pos[0].status, core::DecomposeStatus::kDecomposed);
   EXPECT_EQ(r.pos[0].reason, core::OutcomeReason::kOk);
@@ -536,6 +538,34 @@ TEST(CliExitCodes, UsageErrorExitsWith2) {
   EXPECT_EQ(run_cli("decompose x.blif -engine", &err), 2);
   EXPECT_EQ(err.rfind("step: option '-engine' needs a value\n", 0), 0u)
       << err;
+  // Flags the solver no longer has are unknown, not silently ignored.
+  EXPECT_EQ(run_cli("decompose x.blif -restarts ema", &err), 2);
+  EXPECT_EQ(err.rfind("step: unknown option '-restarts'\n", 0), 0u) << err;
+  // Every flag value is parsed whole and range-checked: no near-miss
+  // enum name falls through to a default, no junk number becomes 0.
+  const std::pair<const char*, const char*> kBadValues[] = {
+      {"-engine", "qbd"},      {"-op", "nand"},
+      {"-schedule", "lifo"},   {"-timeout", "abc"},
+      {"-timeout", "-1"},      {"-timeout", "5s"},
+      {"-qbf-timeout", "nan"}, {"-conflicts", "abc"},
+      {"-conflicts", "-5"},    {"-j", "two"},
+      {"-j", "-1"},            {"-j", "1.5"},
+      {"-dc-depth", "0"},      {"-dc-inputs", "17"},
+      {"-elim-grow", "x"},     {"-elim-occ", "0"},
+      {"-elim-budget", "1e6"}, {"-probe-budget", ""},
+      {"-mem-limit", "0"},     {"-cone-mem-limit", "99999999999999999999"},
+  };
+  for (const auto& [flag, v] : kBadValues) {
+    const std::string expected = std::string("step: option '") + flag +
+                                 "' expects ";
+    const std::string got = std::string(", got '") + v + "'\n";
+    EXPECT_EQ(run_cli(std::string("decompose x.blif ") + flag + " '" + v + "'",
+                      &err),
+              2)
+        << flag << ' ' << v;
+    EXPECT_EQ(err.rfind(expected, 0), 0u) << err;
+    EXPECT_NE(err.find(got), std::string::npos) << err;
+  }
 }
 
 TEST(CliExitCodes, MemCappedRunCompletesSuccessfully) {

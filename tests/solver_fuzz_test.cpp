@@ -2,11 +2,11 @@
 // spirit of krox/dawn's fuzz.py: random CNFs plus random assumption
 // subsets, solved incrementally under two solver configurations —
 //
-//   * "modern"   — the shipping defaults with every new mechanism forced
-//                  into overdrive (EMA restarts, aggressive rephasing,
-//                  tiny reduce interval, inprocessing on every solve);
-//   * "baseline" — the PR-3 configuration (Luby restarts, activity-only
-//                  reduction, no inprocessing, no rephasing);
+//   * "modern"   — the shipping defaults with every mechanism forced into
+//                  overdrive (Luby restarts every few conflicts, a tiny
+//                  learnt-clause floor, inprocessing on every solve);
+//   * "baseline" — the PR-3 configuration (the default Luby restarts and
+//                  learnt-clause budget, no inprocessing);
 //
 // demanding identical SAT/UNSAT answers, valid models, assumption-subset
 // cores, and (on small instances) agreement with a brute-force oracle.
@@ -29,11 +29,8 @@ namespace {
 
 SolverOptions modern_config() {
   SolverOptions o;  // shipping defaults, cranked to fire constantly
-  o.restart_mode = RestartMode::kEma;
-  o.restart_min_interval = 5;
-  o.rephase_interval = 64;
-  o.reduce_interval = 64;
-  o.max_learnts_floor = 32.0;
+  o.restart_base = 2;
+  o.max_learnts_floor = 8.0;
   o.inprocess = true;
   o.inprocess_interval = 1;
   o.inprocess_min_conflicts = 0;
@@ -42,8 +39,6 @@ SolverOptions modern_config() {
 
 SolverOptions baseline_config() {
   SolverOptions o;
-  o.restart_mode = RestartMode::kLuby;
-  o.rephase_interval = 0;
   o.inprocess = false;
   return o;
 }
@@ -99,6 +94,65 @@ void check_core(const Solver& s, const LitVec& assumptions) {
               assumptions.end())
         << "core literal was never assumed";
   }
+}
+
+/// Pigeons-into-holes assignment: variable pigeon * holes + hole places a
+/// pigeon in a hole; every pigeon needs a hole, no hole takes two. Random
+/// assumptions forbid single placements. The random CNFs below are settled
+/// by propagation alone; these take over a hundred conflicts each, enough
+/// for restarts and learnt-clause reductions to fire mid-search.
+struct Matching {
+  int pigeons = 0;
+  int holes = 0;
+  std::vector<LitVec> clauses;
+  Lit place(int pigeon, int hole) const {
+    return mk_lit(static_cast<Var>(pigeon * holes + hole));
+  }
+};
+
+Matching random_matching(Rng& rng) {
+  Matching m;
+  m.holes = rng.next_int(4, 6);
+  m.pigeons = m.holes + (rng.next_bool() ? 1 : 0);
+  for (int i = 0; i < m.pigeons; ++i) {
+    LitVec c;
+    for (int h = 0; h < m.holes; ++h) c.push_back(m.place(i, h));
+    m.clauses.push_back(c);
+  }
+  for (int h = 0; h < m.holes; ++h) {
+    for (int i = 0; i < m.pigeons; ++i) {
+      for (int j = i + 1; j < m.pigeons; ++j) {
+        m.clauses.push_back({~m.place(i, h), ~m.place(j, h)});
+      }
+    }
+  }
+  return m;
+}
+
+/// Exact oracle: the formula plus the forbidding assumptions is SAT iff a
+/// bipartite matching places every pigeon (augmenting paths).
+bool matching_oracle(const Matching& m, const LitVec& assumptions) {
+  const std::vector<char> every_hole(m.holes, 1);
+  std::vector<std::vector<char>> allowed(m.pigeons, every_hole);
+  for (Lit a : assumptions) allowed[var(a) / m.holes][var(a) % m.holes] = 0;
+  std::vector<int> owner(m.holes, -1);
+  std::vector<char> visited;
+  auto augment = [&](auto& self, int pigeon) -> bool {
+    for (int h = 0; h < m.holes; ++h) {
+      if (!allowed[pigeon][h] || visited[h]) continue;
+      visited[h] = 1;
+      if (owner[h] < 0 || self(self, owner[h])) {
+        owner[h] = pigeon;
+        return true;
+      }
+    }
+    return false;
+  };
+  for (int i = 0; i < m.pigeons; ++i) {
+    visited.assign(m.holes, 0);
+    if (!augment(augment, i)) return false;
+  }
+  return true;
 }
 
 TEST(SolverFuzz, ModernAgreesWithBaselineUnderAssumptions) {
@@ -163,6 +217,53 @@ TEST(SolverFuzz, ModernAgreesWithBaselineUnderAssumptions) {
   EXPECT_GT(unsat_answers, 0u);
 }
 
+TEST(SolverFuzz, ModernAgreesWithBaselineOnMatchingInstances) {
+  // The random CNFs above end without a conflict at their seed; these
+  // rounds put the restart and learnt-clause reduction paths under the
+  // same cross-check.
+  Rng rng(0x10ad);
+  Solver::Stats modern_total;
+  std::uint64_t sat_answers = 0, unsat_answers = 0;
+  for (int round = 0; round < 20; ++round) {
+    const Matching m = random_matching(rng);
+    Solver modern(modern_config());
+    Solver baseline(baseline_config());
+    for (int i = 0; i < m.pigeons * m.holes; ++i) {
+      modern.set_frozen(modern.new_var());
+      baseline.new_var();
+    }
+    for (const LitVec& c : m.clauses) {
+      modern.add_clause(c);
+      baseline.add_clause(c);
+    }
+    for (int solve = 0; solve < 4; ++solve) {
+      LitVec assumptions;
+      const int n_assume = rng.next_int(0, m.holes);
+      for (int a = 0; a < n_assume; ++a) {
+        assumptions.push_back(~m.place(rng.next_int(0, m.pigeons - 1),
+                                       rng.next_int(0, m.holes - 1)));
+      }
+      const Result rm = modern.solve(assumptions);
+      ASSERT_EQ(rm, baseline.solve(assumptions))
+          << "round " << round << " solve " << solve << ": configs disagree";
+      ASSERT_EQ(rm == Result::kSat, matching_oracle(m, assumptions))
+          << "round " << round << " solve " << solve << ": oracle disagrees";
+      if (rm == Result::kSat) {
+        ++sat_answers;
+        check_model(modern, m.clauses, assumptions);
+      } else {
+        ++unsat_answers;
+        check_core(modern, assumptions);
+      }
+    }
+    modern_total += modern.stats();
+  }
+  EXPECT_GT(sat_answers, 0u);
+  EXPECT_GT(unsat_answers, 0u);
+  EXPECT_GT(modern_total.restarts, 0u);
+  EXPECT_GT(modern_total.db_reductions, 0u);
+}
+
 /// Modern defaults with one preprocessing technique toggled per config.
 SolverOptions prep_config(bool elim, bool scc, bool probe) {
   SolverOptions o = modern_config();
@@ -208,7 +309,9 @@ TEST(SolverFuzz, PreprocessingConfigsAgreeWithOracle) {
       for (int solve = 0; solve < 3 && s.is_ok(); ++solve) {
         LitVec assumptions;
         for (Var v = 0; v < n_frozen; ++v) {
-          if (rng.next_bool()) assumptions.push_back(mk_lit(v, rng.next_bool()));
+          if (rng.next_bool()) {
+            assumptions.push_back(mk_lit(v, rng.next_bool()));
+          }
         }
         const Result r = s.solve(assumptions);
         ASSERT_EQ(r == Result::kSat, oracle_sat(nv, clauses, assumptions))

@@ -11,13 +11,19 @@
 // complete flag list; the two are kept in sync by tests/cli_reference_test.
 
 #include <atomic>
+#include <charconv>
+#include <cmath>
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <initializer_list>
+#include <limits>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "analysis/lint.h"
@@ -118,16 +124,9 @@ constexpr const char kHelpText[] =
     "  --dc-stats                print window/care counters after the run\n"
     "\n"
     "SAT-solver options (see docs/SOLVER.md):\n"
-    "  -restarts <luby|ema>      restart policy (default luby; ema =\n"
-    "                            adaptive fast/slow LBD conflict averages)\n"
-    "  -lbd-core <n>             learnts with LBD <= n are kept forever\n"
-    "                            (default 3)\n"
-    "  -lbd-tier2 <n>            LBD cut of the mid tier; above it clauses\n"
-    "                            compete on activity (default 6)\n"
     "  --no-inprocess            disable inter-solve subsumption /\n"
     "                            strengthening / vivification (also turns\n"
     "                            the preprocessing tier off)\n"
-    "  --no-rephase              disable target-phase rephasing\n"
     "  --no-elim                 disable bounded variable elimination\n"
     "  --no-scc                  disable equivalent-literal substitution\n"
     "  --no-probe                disable failed-literal probing /\n"
@@ -179,7 +178,7 @@ constexpr const char kHelpText[] =
     "reporting options:\n"
     "  --stats                   print aggregated solver-cost counters\n"
     "                            (SAT/QBF calls, CEGAR iterations, conflicts,\n"
-    "                            restarts, tiers, inprocessing), the\n"
+    "                            restarts, reductions, inprocessing), the\n"
     "                            per-reason outcome taxonomy and the schedule\n"
     "                            shape (policy, outliers, batches,\n"
     "                            predicted-vs-actual hardness agreement)\n"
@@ -191,13 +190,66 @@ constexpr const char kHelpText[] =
     "  0    success\n"
     "  1    failure (verification mismatch, internal error, or\n"
     "       error-severity lint findings)\n"
-    "  2    usage error\n"
+    "  2    usage error (unknown option, or a missing, malformed or\n"
+    "       out-of-range value)\n"
     "  3    I/O error (missing, truncated, or malformed input file)\n"
     "  130  interrupted (SIGINT) — the partial report is flushed first\n";
 
 [[noreturn]] void usage(int exit_code = 2) {
   std::fputs(kHelpText, exit_code == 0 ? stdout : stderr);
   std::exit(exit_code);
+}
+
+/// Rejects a flag value: names the flag, what it takes and what it got.
+[[noreturn]] void bad_value(const std::string& flag,
+                            const std::string& expects, const char* got) {
+  std::fprintf(stderr, "step: option '%s' expects %s, got '%s'\n",
+               flag.c_str(), expects.c_str(), got);
+  usage();
+}
+
+/// Maps the whole token to the value of the matching name.
+template <typename T>
+T parse_choice(const std::string& flag, const char* v,
+               std::initializer_list<std::pair<const char*, T>> choices) {
+  std::string expects = "one of ";
+  for (const auto& [name, choice] : choices) {
+    if (std::strcmp(v, name) == 0) return choice;
+    if (expects.back() != ' ') expects += '|';
+    expects += name;
+  }
+  bad_value(flag, expects, v);
+}
+
+constexpr std::int64_t kIntMax = std::numeric_limits<int>::max();
+constexpr std::int64_t kInt64Max = std::numeric_limits<std::int64_t>::max();
+/// Largest MB count whose byte size still fits a std::size_t.
+constexpr std::int64_t kMaxMb =
+    static_cast<std::int64_t>(std::numeric_limits<std::size_t>::max() >> 20);
+
+/// Parses the whole token as a decimal integer in [lo, hi]; anything else
+/// (trailing junk, a sign where none fits, overflow) is a usage error.
+std::int64_t parse_int(const std::string& flag, const char* v,
+                       std::int64_t lo, std::int64_t hi,
+                       const char* expects) {
+  const char* end = v + std::strlen(v);
+  std::int64_t x = 0;
+  const auto [ptr, ec] = std::from_chars(v, end, x);
+  if (ec != std::errc() || ptr != end || x < lo || x > hi) {
+    bad_value(flag, expects, v);
+  }
+  return x;
+}
+
+/// Parses the whole token as a finite, non-negative number of seconds.
+double parse_seconds(const std::string& flag, const char* v) {
+  const char* end = v + std::strlen(v);
+  double x = 0.0;
+  const auto [ptr, ec] = std::from_chars(v, end, x);
+  if (ec != std::errc() || ptr != end || !std::isfinite(x) || x < 0.0) {
+    bad_value(flag, "a number of seconds >= 0", v);
+  }
+  return x;
 }
 
 CliOptions parse_args(int argc, char** argv) {
@@ -229,20 +281,22 @@ CliOptions parse_args(int argc, char** argv) {
       return argv[++i];
     };
     if (flag == "-op") {
-      const std::string v = value();
-      cli.op = v == "and" ? core::GateOp::kAnd
-                          : v == "xor" ? core::GateOp::kXor : core::GateOp::kOr;
+      cli.op = parse_choice<core::GateOp>(flag, value(),
+                                          {{"or", core::GateOp::kOr},
+                                           {"and", core::GateOp::kAnd},
+                                           {"xor", core::GateOp::kXor}});
     } else if (flag == "-engine") {
-      const std::string v = value();
-      if (v == "ljh") cli.engine = core::Engine::kLjh;
-      else if (v == "mg") cli.engine = core::Engine::kMg;
-      else if (v == "qb") cli.engine = core::Engine::kQbfBalanced;
-      else if (v == "qdb") cli.engine = core::Engine::kQbfCombined;
-      else cli.engine = core::Engine::kQbfDisjoint;
+      cli.engine =
+          parse_choice<core::Engine>(flag, value(),
+                                     {{"ljh", core::Engine::kLjh},
+                                      {"mg", core::Engine::kMg},
+                                      {"qd", core::Engine::kQbfDisjoint},
+                                      {"qb", core::Engine::kQbfBalanced},
+                                      {"qdb", core::Engine::kQbfCombined}});
     } else if (flag == "-timeout") {
-      cli.timeout_s = std::atof(value());
+      cli.timeout_s = parse_seconds(flag, value());
     } else if (flag == "-qbf-timeout") {
-      cli.qbf_timeout_s = std::atof(value());
+      cli.qbf_timeout_s = parse_seconds(flag, value());
     } else if (flag == "--stats" || flag == "-stats") {
       cli.print_stats = true;
     } else if (flag == "--recursive" || flag == "-recursive") {
@@ -258,55 +312,25 @@ CliOptions parse_args(int argc, char** argv) {
     } else if (flag == "--no-dc" || flag == "-no-dc") {
       cli.use_dc = false;
     } else if (flag == "-dc-depth") {
-      cli.window.max_depth = std::atoi(value());
-      if (cli.window.max_depth < 1) {
-        std::fprintf(stderr, "step: -dc-depth expects a level count >= 1\n");
-        usage();
-      }
+      cli.window.max_depth =
+          parse_int(flag, value(), 1, kIntMax, "a level count >= 1");
     } else if (flag == "-dc-inputs") {
-      cli.window.max_inputs = std::atoi(value());
-      if (cli.window.max_inputs < 2 || cli.window.max_inputs > 16) {
-        std::fprintf(stderr, "step: -dc-inputs expects a cut width in"
-                             " [2, 16]\n");
-        usage();
-      }
+      cli.window.max_inputs =
+          parse_int(flag, value(), 2, 16, "a cut width in [2, 16]");
     } else if (flag == "--dc-stats" || flag == "-dc-stats") {
       cli.dc_stats = true;
     } else if (flag == "-j") {
-      cli.num_threads = std::atoi(value());
+      cli.num_threads =
+          parse_int(flag, value(), 0, kIntMax, "a thread count >= 0");
     } else if (flag == "--schedule" || flag == "-schedule") {
-      const std::string v = value();
-      if (v == "fifo") {
-        cli.schedule = core::SchedulePolicy::kFifo;
-      } else if (v == "hardness") {
-        cli.schedule = core::SchedulePolicy::kHardness;
-      } else {
-        std::fprintf(stderr,
-                     "step: --schedule expects fifo or hardness, got %s\n",
-                     v.c_str());
-        usage();
-      }
+      cli.schedule = parse_choice<core::SchedulePolicy>(
+          flag, value(),
+          {{"fifo", core::SchedulePolicy::kFifo},
+           {"hardness", core::SchedulePolicy::kHardness}});
     } else if (flag == "-o") {
       cli.output = value();
-    } else if (flag == "-restarts") {
-      const std::string v = value();
-      if (v == "luby") {
-        cli.sat.restart_mode = sat::RestartMode::kLuby;
-      } else if (v == "ema") {
-        cli.sat.restart_mode = sat::RestartMode::kEma;
-      } else {
-        std::fprintf(stderr, "step: -restarts expects luby or ema, got %s\n",
-                     v.c_str());
-        usage();
-      }
-    } else if (flag == "-lbd-core") {
-      cli.sat.core_lbd_cut = std::atoi(value());
-    } else if (flag == "-lbd-tier2") {
-      cli.sat.tier2_lbd_cut = std::atoi(value());
     } else if (flag == "--no-inprocess" || flag == "-no-inprocess") {
       cli.sat.inprocess = false;
-    } else if (flag == "--no-rephase" || flag == "-no-rephase") {
-      cli.sat.rephase_interval = 0;
     } else if (flag == "--no-elim" || flag == "-no-elim") {
       cli.sat.elim = false;
     } else if (flag == "--no-scc" || flag == "-no-scc") {
@@ -314,47 +338,35 @@ CliOptions parse_args(int argc, char** argv) {
     } else if (flag == "--no-probe" || flag == "-no-probe") {
       cli.sat.probe = false;
     } else if (flag == "-elim-grow") {
-      cli.sat.elim_grow = std::atoi(value());
+      cli.sat.elim_grow = parse_int(flag, value(), 0, kIntMax, "a count >= 0");
     } else if (flag == "-elim-occ") {
-      cli.sat.elim_occ_limit = std::atoi(value());
-      if (cli.sat.elim_occ_limit < 1) {
-        std::fprintf(stderr, "step: -elim-occ expects a count >= 1\n");
-        usage();
-      }
+      cli.sat.elim_occ_limit =
+          parse_int(flag, value(), 1, kIntMax, "a count >= 1");
     } else if (flag == "-elim-budget") {
-      cli.sat.elim_budget = std::atoll(value());
+      cli.sat.elim_budget =
+          parse_int(flag, value(), 0, kInt64Max, "a budget >= 0");
     } else if (flag == "-probe-budget") {
-      cli.sat.probe_budget = std::atoll(value());
+      cli.sat.probe_budget =
+          parse_int(flag, value(), 0, kInt64Max, "a budget >= 0");
     } else if (flag == "-conflicts") {
-      cli.sat.conflict_budget = std::atoll(value());
-      if (cli.sat.conflict_budget < 0) {
-        std::fprintf(stderr, "step: -conflicts expects a budget >= 0\n");
-        usage();
-      }
+      cli.sat.conflict_budget =
+          parse_int(flag, value(), 0, kInt64Max, "a budget >= 0");
     } else if (flag == "-mem-limit") {
-      const long long mb = std::atoll(value());
-      if (mb < 1) {
-        std::fprintf(stderr, "step: -mem-limit expects a size in MB >= 1\n");
-        usage();
-      }
-      cli.mem_limit_mb = static_cast<std::size_t>(mb);
+      cli.mem_limit_mb = static_cast<std::size_t>(
+          parse_int(flag, value(), 1, kMaxMb, "a size in MB >= 1"));
     } else if (flag == "-cone-mem-limit") {
-      const long long mb = std::atoll(value());
-      if (mb < 1) {
-        std::fprintf(stderr,
-                     "step: -cone-mem-limit expects a size in MB >= 1\n");
-        usage();
-      }
-      cli.cone_mem_limit_mb = static_cast<std::size_t>(mb);
+      cli.cone_mem_limit_mb = static_cast<std::size_t>(
+          parse_int(flag, value(), 1, kMaxMb, "a size in MB >= 1"));
     } else if (flag == "--degrade" || flag == "-degrade") {
       cli.degrade = true;
     } else if (flag == "-faults") {
-      cli.faults = FaultPlan::parse(value());
+      const char* v = value();
+      cli.faults = FaultPlan::parse(v);
       if (!cli.faults) {
-        std::fprintf(stderr,
-                     "step: -faults expects seed:rate[:kinds] with rate in"
-                     " [0,1] and kinds from \"eabvi\"\n");
-        usage();
+        bad_value(flag,
+                  "seed:rate[:kinds] with rate in [0,1] and kinds from"
+                  " \"eabvi\"",
+                  v);
       }
     } else if (flag == "--inject-faults" || flag == "-inject-faults") {
       cli.faults = FaultPlan::from_env();
@@ -488,7 +500,8 @@ int cmd_decompose(const CliOptions& cli, const io::Network& net,
         if (a.cpu_s == b.cpu_s || a.predicted_hardness == b.predicted_hardness)
           continue;
         ++pairs;
-        if ((a.cpu_s < b.cpu_s) == (a.predicted_hardness < b.predicted_hardness))
+        if ((a.cpu_s < b.cpu_s) ==
+            (a.predicted_hardness < b.predicted_hardness))
           ++agree;
       }
     }
@@ -515,14 +528,10 @@ int cmd_decompose(const CliOptions& cli, const io::Network& net,
                     run.total_verification_conflicts()));
     const sat::Solver::Stats ss = run.total_solver_stats();
     auto u = [](std::uint64_t v) { return static_cast<unsigned long long>(v); };
-    std::printf("# stats: solver conflicts=%llu restarts=%llu (blocked=%llu)"
-                " rephases=%llu reductions=%llu\n",
-                u(ss.conflicts), u(ss.restarts), u(ss.blocked_restarts),
-                u(ss.rephases), u(ss.db_reductions));
-    std::printf("# stats: learnt tiers core=%llu tier2=%llu local=%llu"
-                " (of %llu learnt)\n",
-                u(ss.core_learnts), u(ss.tier2_learnts), u(ss.local_learnts),
-                u(ss.learnt));
+    std::printf("# stats: solver conflicts=%llu restarts=%llu learnt=%llu"
+                " reductions=%llu\n",
+                u(ss.conflicts), u(ss.restarts), u(ss.learnt),
+                u(ss.db_reductions));
     std::printf("# stats: inprocess rounds=%llu subsumed=%llu"
                 " strengthened=%llu vivified=%llu lits_removed=%llu\n",
                 u(ss.inprocess_rounds), u(ss.subsumed_clauses),
