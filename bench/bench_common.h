@@ -50,9 +50,10 @@ inline sat::SolverOptions no_preprocess_sat_config() {
   return o;
 }
 
-/// The pre-modernization (PR-3) solver: the shipping search (Luby
-/// restarts, size-triggered learnt-clause halving) with inprocessing and
-/// preprocessing off.
+/// The shipping defaults with inprocessing off. Inprocessing rounds are
+/// what run the preprocessing passes, so this searches like
+/// no_preprocess_sat_config() with the syntactic phases skipped too; the
+/// "legacy" name is historical.
 inline sat::SolverOptions legacy_sat_config() {
   sat::SolverOptions o;
   o.inprocess = false;

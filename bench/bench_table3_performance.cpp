@@ -10,9 +10,9 @@
 //
 // `--sat-json <path>` runs the SAT-configuration A/B on top: the same
 // optimum-search loop under the modern solver defaults (inprocessing and
-// preprocessing on), one ablation per preprocessing technique, and the
-// legacy PR-3 configuration (the same Luby restarts and activity-only
-// reduction, nothing else), plus a few micro SAT instances, written to
+// preprocessing on), one ablation per preprocessing technique, and
+// "legacy" (the shipping defaults with inprocessing off), plus a few
+// micro SAT instances, written to
 // BENCH_sat.json. CI fails when the modern configuration regresses the
 // search-loop wall time by >10% against legacy measured in the same run.
 // `--ab-only` skips the (slow) per-circuit table for exactly that use.
@@ -407,7 +407,7 @@ int main(int argc, char** argv) {
     // "modern" is the full-preprocessing shipping default; the no_*
     // entries ablate one technique each; "no_preprocess" turns the whole
     // tier off (the conflict baseline the CI gate compares against);
-    // "legacy" is the PR-3 solver.
+    // "legacy" is the shipping defaults with inprocessing off.
     const sat::SolverOptions cfgs[kConfigs] = {
         bench::modern_sat_config(),        bench::no_elim_sat_config(),
         bench::no_scc_sat_config(),        bench::no_probe_sat_config(),

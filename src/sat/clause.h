@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <cstring>
 #include <span>
 #include <vector>
 
@@ -37,8 +38,8 @@ class Clause {
   std::uint32_t proof_id() const { return proof_id_; }
   void set_proof_id(std::uint32_t id) { proof_id_ = id; }
 
-  /// Lazily deleted (reduction, inprocessing); skipped everywhere, space
-  /// reclaimed never (the arena is append-only so CRefs stay stable).
+  /// Lazily deleted (reduction, inprocessing); skipped everywhere until
+  /// ClauseArena::compact() reclaims the space.
   bool removed() const { return (header_ & 2U) != 0; }
   void set_removed() { header_ |= 2U; }
 
@@ -67,9 +68,9 @@ class Clause {
 
 /// Bump-pointer arena for clauses.
 ///
-/// Clauses are identified by CRef word offsets, which remain stable for the
-/// lifetime of the arena (no garbage collection is performed while proof
-/// logging is enabled; the solver's reduce_db() compacts watch lists only).
+/// Clauses are identified by CRef word offsets, stable until compact()
+/// slides the live clauses down over the removed ones; the solver then
+/// relocates every CRef it holds (Solver::collect_garbage).
 class ClauseArena {
  public:
   ClauseArena() = default;
@@ -113,6 +114,27 @@ class ClauseArena {
   }
 
   std::size_t size_words() const { return mem_.size(); }
+  /// Words the clause at `r` occupies (header + current literals).
+  std::size_t words(CRef r) const {
+    return kHeaderWords + (*this)[r].size();
+  }
+
+  /// Slides the clauses at `live` (ascending CRefs) to the front of the
+  /// arena, keeping their order, and rewrites each entry to its new CRef.
+  /// Everything else is dropped. Capacity (and so the charged bytes) is
+  /// kept: later allocations reuse the freed tail instead of growing.
+  void compact(std::vector<CRef>& live) {
+    std::size_t to = 0;
+    for (CRef& r : live) {
+      STEP_CHECK(r >= to);
+      const std::size_t n = words(r);
+      std::memmove(mem_.data() + to, mem_.data() + r,
+                   n * sizeof(std::uint32_t));
+      r = static_cast<CRef>(to);
+      to += n;
+    }
+    mem_.resize(to);
+  }
 
   /// Resource-governor hook: arena capacity growth — the dominant
   /// allocation of a hard cone (learnt clauses) — is charged to the

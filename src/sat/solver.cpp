@@ -36,6 +36,7 @@ Solver::Stats& Solver::Stats::operator+=(const Stats& o) {
   restarts += o.restarts;
   learnt += o.learnt;
   db_reductions += o.db_reductions;
+  arena_compactions += o.arena_compactions;
   inprocess_rounds += o.inprocess_rounds;
   subsumed_clauses += o.subsumed_clauses;
   strengthened_clauses += o.strengthened_clauses;
@@ -405,6 +406,52 @@ void Solver::reduce_db() {
   learnts_.erase(std::remove_if(learnts_.begin(), learnts_.end(),
                                 [&](CRef cr) { return arena_[cr].removed(); }),
                  learnts_.end());
+  collect_garbage();
+}
+
+/// Compacts the arena once removed and shrunk clauses waste a fifth of
+/// it, so reductions and inprocessing free space for later learnts
+/// instead of the arena growing (and being charged) without bound.
+/// Clause order is kept and every CRef is relocated, so the search is
+/// unaffected. Requires clauses_/learnts_ to hold live clauses only and
+/// the watches to reference nothing else.
+void Solver::collect_garbage() {
+  std::vector<CRef> from(clauses_);
+  from.insert(from.end(), learnts_.begin(), learnts_.end());
+  std::size_t live_words = 0;
+  for (CRef cr : from) live_words += arena_.words(cr);
+  if (arena_.size_words() - live_words <= arena_.size_words() / 5) return;
+  ++stats_.arena_compactions;
+
+  std::sort(from.begin(), from.end());
+  std::vector<CRef> to(from);
+  arena_.compact(to);
+  auto reloc = [&](CRef cr) {
+    const auto it = std::lower_bound(from.begin(), from.end(), cr);
+    if (it == from.end() || *it != cr) return kCRefUndef;
+    return to[static_cast<std::size_t>(it - from.begin())];
+  };
+  auto reloc_live = [&](CRef& cr) {
+    cr = reloc(cr);
+    STEP_CHECK(cr != kCRefUndef);
+  };
+  for (CRef& cr : clauses_) reloc_live(cr);
+  for (CRef& cr : learnts_) reloc_live(cr);
+  for (auto& ws : watches_) {
+    for (Watcher& w : ws) reloc_live(w.cref);
+  }
+  for (auto& ws : bin_watches_) {
+    for (BinWatcher& w : ws) reloc_live(w.cref);
+  }
+  // Inprocessing may remove the reason clause of a level-0 unit (level-0
+  // reasons are never resolved on without proof logging); every other
+  // reason is live.
+  for (Lit p : trail_) {
+    CRef& r = reason_[var(p)];
+    if (r == kCRefUndef) continue;
+    r = reloc(r);
+    STEP_CHECK(r != kCRefUndef || level_[var(p)] == 0);
+  }
 }
 
 // ---------------------------------------------------- conflict analysis ----
@@ -1155,6 +1202,7 @@ void Solver::inprocess() {
   }
 
   if (tier_due) last_preprocess_clauses_ = clauses_.size();
+  collect_garbage();
 }
 
 }  // namespace step::sat

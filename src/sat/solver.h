@@ -211,6 +211,7 @@ class Solver {
     std::uint64_t restarts = 0;
     std::uint64_t learnt = 0;
     std::uint64_t db_reductions = 0;
+    std::uint64_t arena_compactions = 0;  ///< see collect_garbage()
     // Inprocessing totals.
     std::uint64_t inprocess_rounds = 0;
     std::uint64_t subsumed_clauses = 0;
@@ -284,6 +285,7 @@ class Solver {
   void decay_clause_activity() { cla_inc_ /= opts_.clause_decay; }
 
   void reduce_db();
+  void collect_garbage();
 
   // Inter-solve inprocessing + preprocessing.
   void inprocess();

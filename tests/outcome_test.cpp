@@ -236,7 +236,7 @@ TEST(OutcomeReach, MemLimitAbandonsConeWhileSiblingsConclude) {
   const aig::Aig circ = benchgen::merge(
       {benchgen::parity_tree(16), benchgen::ripple_adder(3)});
   const auto opts = base_opts(core::Engine::kQbfCombined, core::GateOp::kXor);
-  constexpr std::size_t kConeCap = 144u << 10;
+  constexpr std::size_t kConeCap = 80u << 10;
   ResourceGovernor gov({/*soft_cone_bytes=*/kConeCap, /*hard=*/0});
   core::ParallelDriverOptions par;
   par.governor = &gov;
@@ -383,21 +383,21 @@ TEST(BudgetClamp, RungBudgetClampsToCircuitRemaining) {
 // ---------- degradation ladder --------------------------------------------
 
 TEST(OutcomeLadder, MemTrippedConeDegradesToVerifiedConclusion) {
-  // Without the MG bootstrap the QBF search blows the 584 KB cone cap
+  // Without the MG bootstrap the QBF search blows the 640 KB cone cap
   // before reaching any partition (kMemLimit without the ladder); with
   // --degrade the cheaper-engine rung (STEP-MG under a fresh account)
-  // concludes well inside the cap — and rung results run with extraction
+  // concludes inside the cap — and rung results run with extraction
   // and SAT verification forced on, so a degraded answer is still proven.
-  const aig::Aig circ = benchgen::parity_tree(32);
+  const aig::Aig circ = benchgen::parity_tree(40);
   core::DecomposeOptions opts =
       base_opts(core::Engine::kQbfCombined, core::GateOp::kXor);
   opts.bootstrap_with_mg = false;
-  const ResourceGovernor::Options cap{/*soft_cone_bytes=*/584u << 10, 0};
+  const ResourceGovernor::Options cap{/*soft_cone_bytes=*/640u << 10, 0};
 
   ResourceGovernor plain_gov(cap);
   core::ParallelDriverOptions plain;
   plain.governor = &plain_gov;
-  const auto without = core::run_circuit(circ, "par32", opts, 600.0, plain);
+  const auto without = core::run_circuit(circ, "par40", opts, 600.0, plain);
   ASSERT_EQ(without.pos.size(), 1u);
   EXPECT_EQ(without.pos[0].status, core::DecomposeStatus::kUnknown);
   EXPECT_EQ(without.pos[0].reason, core::OutcomeReason::kMemLimit);
@@ -407,7 +407,7 @@ TEST(OutcomeLadder, MemTrippedConeDegradesToVerifiedConclusion) {
   core::ParallelDriverOptions ladder = plain;
   ladder.governor = &ladder_gov;
   ladder.degrade = true;
-  const auto with = core::run_circuit(circ, "par32", opts, 600.0, ladder);
+  const auto with = core::run_circuit(circ, "par40", opts, 600.0, ladder);
   ASSERT_EQ(with.pos.size(), 1u);
   EXPECT_EQ(with.pos[0].status, core::DecomposeStatus::kDecomposed);
   EXPECT_EQ(with.pos[0].reason, core::OutcomeReason::kOk);
@@ -423,21 +423,45 @@ TEST(OutcomeLadder, MemTrippedConeDegradesUnderUnlimitedPoBudget) {
   // po_budget_s == 0 ("no per-PO deadline") used to hand ladder rungs a
   // 0 * frac == 0 budget — unlimited, not a slice. The fixed rung budget
   // is a finite kDefaultRungBudget_s-scaled slice and still concludes.
-  const aig::Aig circ = benchgen::parity_tree(32);
+  const aig::Aig circ = benchgen::parity_tree(40);
   core::DecomposeOptions opts =
       base_opts(core::Engine::kQbfCombined, core::GateOp::kXor);
   opts.bootstrap_with_mg = false;
   opts.po_budget_s = 0.0;
-  ResourceGovernor gov({/*soft_cone_bytes=*/584u << 10, /*hard=*/0});
+  ResourceGovernor gov({/*soft_cone_bytes=*/640u << 10, /*hard=*/0});
   core::ParallelDriverOptions par;
   par.governor = &gov;
   par.degrade = true;
-  const auto r = core::run_circuit(circ, "par32", opts, 600.0, par);
+  const auto r = core::run_circuit(circ, "par40", opts, 600.0, par);
   ASSERT_EQ(r.pos.size(), 1u);
   EXPECT_EQ(r.pos[0].status, core::DecomposeStatus::kDecomposed);
   EXPECT_EQ(r.pos[0].reason, core::OutcomeReason::kOk);
   EXPECT_TRUE(r.pos[0].degraded);
   EXPECT_GE(gov.cones_tripped(), 1u);
+}
+
+TEST(OutcomeLadder, CompactedArenasFitParity24WithoutTheLadder) {
+  // parity_tree(24) without the MG bootstrap once needed the ladder at
+  // every cone cap from 272 to 368 KB: the QBF search tripped and the MG
+  // rung concluded. Compacting the clause arenas after learnt-clause
+  // reductions and inprocessing lets the QBF search itself reach a
+  // partition inside both ends of that range (the cap may still cut the
+  // optimum search short), so the cone concludes on its primary attempt.
+  const aig::Aig circ = benchgen::parity_tree(24);
+  core::DecomposeOptions opts =
+      base_opts(core::Engine::kQbfCombined, core::GateOp::kXor);
+  opts.bootstrap_with_mg = false;
+  for (const std::size_t kb : {272u, 368u}) {
+    ResourceGovernor gov({/*soft_cone_bytes=*/kb << 10, /*hard=*/0});
+    core::ParallelDriverOptions par;
+    par.governor = &gov;
+    par.degrade = true;
+    const auto r = core::run_circuit(circ, "par24", opts, 600.0, par);
+    ASSERT_EQ(r.pos.size(), 1u);
+    EXPECT_EQ(r.pos[0].status, core::DecomposeStatus::kDecomposed) << kb;
+    EXPECT_EQ(r.pos[0].reason, core::OutcomeReason::kOk) << kb;
+    EXPECT_FALSE(r.pos[0].degraded) << kb;
+  }
 }
 
 TEST(OutcomeLadder, CircuitLevelFailuresAreNotRetried) {

@@ -211,8 +211,8 @@ TEST(SatEdge, PhaseSavingOffStillCorrect) {
 }
 
 TEST(SatEdge, DbReductionFiresAndPreservesCorrectness) {
-  // A tiny learnt budget forces clause-database reduction mid-search;
-  // pigeonhole must still be refuted.
+  // A tiny learnt budget forces clause-database reduction (and arena
+  // compaction) mid-search; pigeonhole must still be refuted.
   SolverOptions o;
   o.max_learnts_floor = 20.0;
   Solver s(o);
@@ -235,6 +235,9 @@ TEST(SatEdge, DbReductionFiresAndPreservesCorrectness) {
   }
   EXPECT_EQ(s.solve(), Result::kUnsat);
   EXPECT_GT(s.stats().db_reductions, 0u);
+  // Halving the learnts wastes well over a fifth of the arena, so the
+  // search also ran on relocated clause references.
+  EXPECT_GT(s.stats().arena_compactions, 0u);
 }
 
 TEST(SatEdge, DbReductionAgreesWithBruteForceOnSatInstances) {
@@ -259,6 +262,55 @@ TEST(SatEdge, DbReductionAgreesWithBruteForceOnSatInstances) {
     }
     EXPECT_EQ(constrained.solve(), reference.solve());
   }
+}
+
+TEST(SatEdge, ArenaCompactionMidSearchKeepsAnswersExact) {
+  // Random 3-SAT at the threshold learns past 2·|clauses| in one solve, so
+  // the database is halved (and the arena compacted) deep in the search,
+  // with reasons above level 0 pointing at moved clauses. Every answer
+  // must match a solver that never reduces, and every model must hold.
+  Rng rng(2024);
+  Solver::Stats total;
+  int sat = 0, unsat = 0;
+  for (int instance = 0; instance < 6; ++instance) {
+    constexpr int kVars = 150;
+    SolverOptions tiny;
+    tiny.max_learnts_floor = 4.0;
+    Solver compacting(tiny);
+    SolverOptions roomy;
+    roomy.max_learnts_floor = 1e9;
+    Solver reference(roomy);
+    for (int i = 0; i < kVars; ++i) {
+      compacting.new_var();
+      reference.new_var();
+    }
+    std::vector<LitVec> clauses;
+    for (int c = 0; c < 639; ++c) {
+      LitVec cl;
+      for (int j = 0; j < 3; ++j) {
+        cl.push_back(mk_lit(rng.next_int(0, kVars - 1), rng.next_bool()));
+      }
+      compacting.add_clause(cl);
+      reference.add_clause(cl);
+      clauses.push_back(cl);
+    }
+    const Result r = compacting.solve();
+    ASSERT_EQ(r, reference.solve()) << "instance " << instance;
+    total += compacting.stats();
+    if (r != Result::kSat) {
+      ++unsat;
+      continue;
+    }
+    ++sat;
+    for (const LitVec& cl : clauses) {
+      bool satisfied = false;
+      for (Lit l : cl) satisfied |= compacting.model_value(l) == Lbool::kTrue;
+      ASSERT_TRUE(satisfied) << "instance " << instance;
+    }
+  }
+  EXPECT_GT(sat, 0);
+  EXPECT_GT(unsat, 0);
+  EXPECT_GT(total.arena_compactions, 0u);
 }
 
 TEST(SatEdge, XorChainUnsat) {

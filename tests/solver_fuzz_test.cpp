@@ -219,8 +219,8 @@ TEST(SolverFuzz, ModernAgreesWithBaselineUnderAssumptions) {
 
 TEST(SolverFuzz, ModernAgreesWithBaselineOnMatchingInstances) {
   // The random CNFs above end without a conflict at their seed; these
-  // rounds put the restart and learnt-clause reduction paths under the
-  // same cross-check.
+  // rounds put the restart, learnt-clause reduction and arena compaction
+  // paths under the same cross-check.
   Rng rng(0x10ad);
   Solver::Stats modern_total;
   std::uint64_t sat_answers = 0, unsat_answers = 0;
@@ -262,6 +262,7 @@ TEST(SolverFuzz, ModernAgreesWithBaselineOnMatchingInstances) {
   EXPECT_GT(unsat_answers, 0u);
   EXPECT_GT(modern_total.restarts, 0u);
   EXPECT_GT(modern_total.db_reductions, 0u);
+  EXPECT_GT(modern_total.arena_compactions, 0u);
 }
 
 /// Modern defaults with one preprocessing technique toggled per config.
